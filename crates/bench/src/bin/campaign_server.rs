@@ -84,10 +84,12 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::Read as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Condvar, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-use wlan_core::fault::{self, FaultSite};
-use wlan_core::{job_key, max_job_attempts, ResultCache, Scenario, ScenarioResult};
+use wlan_bench::harness::fault_plan_from;
+use wlan_core::{
+    attempts_from, job_key, FaultPlan, FaultSite, ResultCache, RunContext, Scenario, ScenarioResult,
+};
 use wlan_sim::{SimDuration, Simulator};
 
 /// Set by the SIGTERM/SIGINT handler: workers stop claiming, in-flight jobs
@@ -163,16 +165,13 @@ enum Disposition {
     Failed(String),
 }
 
-/// Checkpointing configuration shared by all workers (whether to *resume*
-/// from a snapshot is per-claim state, carried by [`WorkItem`]).
+/// Checkpointing configuration shared by all workers: where snapshots go,
+/// the periodic cadence, and the wall-clock timeout after which a claim
+/// snapshots and requeues (whether to *resume* from a snapshot is per-claim
+/// state, carried by [`WorkItem`]).
 struct CheckpointPolicy {
     dir: PathBuf,
     every: Option<SimDuration>,
-}
-
-/// Supervision limits shared by all workers.
-struct Limits {
-    attempts: u32,
     timeout: Option<Duration>,
 }
 
@@ -244,13 +243,19 @@ fn parse_job(value: &Value) -> Result<Scenario, String> {
 }
 
 /// Write a snapshot of `sim` to `path` (temp file + rename). `ordinal`
-/// counts this job's snapshot writes and keys the `checkpoint_write` fault
-/// site; a failed write — real or injected — is a warning, never an abort:
-/// the job keeps running and simply has a staler resume point.
-fn write_snapshot(sim: &Simulator, path: &Path, key: &str, ordinal: &mut u32) {
+/// counts this job's snapshot writes and keys the `checkpoint_write` site of
+/// `faults`; a failed write — real or injected — is a warning, never an
+/// abort: the job keeps running and simply has a staler resume point.
+fn write_snapshot(
+    sim: &Simulator,
+    path: &Path,
+    key: &str,
+    ordinal: &mut u32,
+    faults: Option<&FaultPlan>,
+) {
     let attempt = *ordinal;
     *ordinal += 1;
-    if fault::trips(FaultSite::CheckpointWrite, key, attempt) {
+    if faults.is_some_and(|plan| plan.should_fault(FaultSite::CheckpointWrite, key, attempt)) {
         eprintln!(
             "campaign_server: cannot write snapshot {}: injected fault: checkpoint_write",
             path.display()
@@ -274,10 +279,9 @@ fn write_snapshot(sim: &Simulator, path: &Path, key: &str, ordinal: &mut u32) {
 /// resumes or requeues it took (the `advance_until` contract).
 fn advance_job(
     job: &Job,
-    cache: Option<&ResultCache>,
+    ctx: &RunContext,
     ckpt: &CheckpointPolicy,
     item: &WorkItem,
-    limits: &Limits,
 ) -> Disposition {
     let scenario = &job.scenario;
     let telemetry = wlan_core::metrics_enabled();
@@ -311,6 +315,7 @@ fn advance_job(
     let claimed = Instant::now();
     let events_at_claim = sim.events_processed();
     let mut writes = 0u32;
+    let faults = ctx.faults.as_deref();
     while sim.now() < end {
         let next = (sim.now() + slice).min(end);
         scenario.advance_until(&mut sim, next);
@@ -318,19 +323,19 @@ fn advance_job(
             break;
         }
         if DRAINING.load(Ordering::SeqCst) {
-            write_snapshot(&sim, &path, &job.key, &mut writes);
+            write_snapshot(&sim, &path, &job.key, &mut writes, faults);
             return Disposition::Drained;
         }
-        if let Some(timeout) = limits.timeout {
+        if let Some(timeout) = ckpt.timeout {
             // The slice above made simulated-time progress, so requeueing
             // still terminates: every claim moves the job forward.
             if claimed.elapsed() >= timeout {
-                write_snapshot(&sim, &path, &job.key, &mut writes);
+                write_snapshot(&sim, &path, &job.key, &mut writes, faults);
                 return Disposition::Requeue;
             }
         }
         if ckpt.every.is_some() {
-            write_snapshot(&sim, &path, &job.key, &mut writes);
+            write_snapshot(&sim, &path, &job.key, &mut writes, faults);
         }
     }
     let wall = claimed.elapsed();
@@ -340,7 +345,7 @@ fn advance_job(
         wlan_core::metrics::global().record_engine_report(&report);
     }
     let result = scenario.collect(&sim);
-    if let Some(cache) = cache {
+    if let Some(cache) = &ctx.cache {
         if let Err(e) = cache.store(&job.key, &result) {
             cache.note_degraded(&job.key, &e);
         }
@@ -357,20 +362,14 @@ fn advance_job(
 
 /// Run one claim of one job under supervision: cache short-circuit, injected
 /// worker stall, and panic isolation with a bounded retry budget.
-fn run_job(
-    job: &Job,
-    cache: Option<&ResultCache>,
-    ckpt: &CheckpointPolicy,
-    item: &WorkItem,
-    limits: &Limits,
-) -> Disposition {
-    let plan = fault::active();
-    if let Some(plan) = plan.as_deref() {
+fn run_job(job: &Job, ctx: &RunContext, ckpt: &CheckpointPolicy, item: &WorkItem) -> Disposition {
+    let plan = ctx.faults.as_deref();
+    if let Some(plan) = plan {
         if plan.should_fault(FaultSite::WorkerStall, &job.key, item.claims) {
             std::thread::sleep(plan.stall());
         }
     }
-    if let Some(cache) = cache {
+    if let Some(cache) = &ctx.cache {
         if let Some(result) = cache.lookup(&job.key) {
             return Disposition::Done(Box::new(Outcome {
                 result,
@@ -382,7 +381,7 @@ fn run_job(
         }
     }
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if let Some(plan) = plan.as_deref() {
+        if let Some(plan) = plan {
             if plan.should_fault(FaultSite::JobPanic, &job.key, item.panics) {
                 panic!(
                     "injected fault: job_panic (job {}, attempt {})",
@@ -390,24 +389,24 @@ fn run_job(
                 );
             }
         }
-        advance_job(job, cache, ckpt, item, limits)
+        advance_job(job, ctx, ckpt, item)
     }));
     match outcome {
         Ok(disposition) => disposition,
         Err(payload) => {
             let message = panic_message(payload);
-            if item.panics + 1 < limits.attempts {
+            if item.panics + 1 < ctx.attempts {
                 eprintln!(
                     "campaign_server: job {} panicked (attempt {}/{}): {message} — retrying",
                     item.index,
                     item.panics + 1,
-                    limits.attempts
+                    ctx.attempts
                 );
                 Disposition::Retry
             } else {
                 Disposition::Failed(format!(
                     "job panicked on all {} attempts: {message}",
-                    limits.attempts
+                    ctx.attempts
                 ))
             }
         }
@@ -480,7 +479,8 @@ fn emit_status(
 
 fn main() {
     install_signal_handlers();
-    if fault::install_from_env().is_some() {
+    let faults = fault_plan_from(std::env::var("WLAN_FAULT_PLAN").ok().as_deref());
+    if faults.is_some() {
         eprintln!("campaign_server: WLAN_FAULT_PLAN active — injecting deterministic faults");
     }
     let args: Vec<String> = std::env::args().collect();
@@ -558,7 +558,7 @@ fn main() {
         None
     } else {
         match ResultCache::open(&cache_dir) {
-            Ok(cache) => Some(cache),
+            Ok(cache) => Some(Arc::new(cache.with_faults(faults.clone()))),
             Err(e) => {
                 eprintln!(
                     "campaign_server: warning: cannot open cache directory {cache_dir} ({e}) — \
@@ -577,10 +577,13 @@ fn main() {
     let ckpt = CheckpointPolicy {
         dir: PathBuf::from(&checkpoint_dir),
         every,
-    };
-    let limits = Limits {
-        attempts: max_job_attempts(),
         timeout,
+    };
+    let ctx = RunContext {
+        attempts: attempts_from(std::env::var("WLAN_JOB_RETRIES").ok().as_deref()),
+        cache,
+        faults,
+        ..RunContext::new(threads)
     };
     let parse_errors = jobs.iter().filter(|j| j.is_err()).count();
     eprintln!(
@@ -590,7 +593,7 @@ fn main() {
         parse_errors,
         threads,
         if threads == 1 { "" } else { "s" },
-        match &cache {
+        match &ctx.cache {
             Some(c) => format!("in {}", c.dir().display()),
             None => "disabled".to_string(),
         },
@@ -599,7 +602,7 @@ fn main() {
             Some(d) => format!(" every {} sim-s", d.as_secs_f64()),
             None => " (final state only; no periodic snapshots)".to_string(),
         },
-        match limits.timeout {
+        match ckpt.timeout {
             Some(t) => format!(", job timeout {:.1}s", t.as_secs_f64()),
             None => String::new(),
         },
@@ -629,7 +632,6 @@ fn main() {
     }
     let mut completed = 0u64;
     let mut errors = 0u64;
-    let cache_ref = cache.as_ref();
     let campaign_started = Instant::now();
     let claimed_jobs = AtomicU64::new(0);
     // Heartbeat stop signal: flipped (and notified) after the pool drains so
@@ -663,7 +665,7 @@ fn main() {
             let jobs = &jobs;
             let queue = &queue;
             let ckpt = &ckpt;
-            let limits = &limits;
+            let ctx = &ctx;
             let claimed_jobs = &claimed_jobs;
             scope.spawn(move || loop {
                 if DRAINING.load(Ordering::SeqCst) {
@@ -678,7 +680,7 @@ fn main() {
                 let Ok(job) = &jobs[item.index] else {
                     unreachable!("only parsed jobs are queued");
                 };
-                match run_job(job, cache_ref, ckpt, &item, limits) {
+                match run_job(job, ctx, ckpt, &item) {
                     Disposition::Done(outcome) => {
                         let _ = tx.send((item.index, Status::Done(outcome)));
                     }
@@ -744,7 +746,7 @@ fn main() {
     });
 
     let drained = jobs.len() as u64 - completed - errors;
-    let stats = cache.as_ref().map(|c| c.stats()).unwrap_or_default();
+    let stats = ctx.cache.as_ref().map(|c| c.stats()).unwrap_or_default();
     let summary = Value::Map(vec![
         ("jobs".to_string(), Value::U64(jobs.len() as u64)),
         ("completed".to_string(), Value::U64(completed)),

@@ -52,6 +52,6 @@ fn main() {
                 r.collision_fraction,
             );
         }
-        println!("  ({wall:.1}s wall on {} threads)", cfg.threads);
+        println!("  ({wall:.1}s wall on {} threads)", cfg.ctx.threads);
     }
 }

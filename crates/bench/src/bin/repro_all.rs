@@ -17,21 +17,20 @@ use wlan_bench::harness::{out_dir, RunConfig};
 use wlan_core::CacheStats;
 
 fn main() {
-    let cfg = RunConfig::from_env();
-    let cache = cfg.install_cache();
-    let faults = cfg.install_faults();
+    let cfg = RunConfig::from_env().with_cache();
+    let cache = cfg.ctx.cache.as_deref();
     println!(
         "Reproducing all experiments in {} mode on {} thread{} (results in {}, cache {})\n",
         if cfg.quick { "QUICK" } else { "FULL" },
-        cfg.threads,
-        if cfg.threads == 1 { "" } else { "s" },
+        cfg.ctx.threads,
+        if cfg.ctx.threads == 1 { "" } else { "s" },
         out_dir().display(),
         match cache {
             Some(c) => format!("in {}", c.dir().display()),
             None => "disabled".to_string(),
         },
     );
-    if let Some(plan) = &faults {
+    if let Some(plan) = &cfg.ctx.faults {
         println!(
             "CHAOS MODE: fault plan seed {} active — results below are a robustness run\n",
             plan.seed()
@@ -108,7 +107,7 @@ fn main() {
         final_stats.misses,
         if final_stats.misses == 1 { "" } else { "es" },
         if cfg.quick { "quick" } else { "full" },
-        cfg.threads,
-        if cfg.threads == 1 { "" } else { "s" },
+        cfg.ctx.threads,
+        if cfg.ctx.threads == 1 { "" } else { "s" },
     );
 }

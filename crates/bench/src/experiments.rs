@@ -740,8 +740,8 @@ pub fn fig_finite_load(cfg: &RunConfig) -> String {
     println!(
         "  running {} jobs on {} thread{} (capacity S* = {:.2} Mbps)...",
         scenarios.len(),
-        cfg.threads,
-        if cfg.threads == 1 { "" } else { "s" },
+        cfg.ctx.threads,
+        if cfg.ctx.threads == 1 { "" } else { "s" },
         capacity_bps / 1e6
     );
     let results = cfg.run_scenarios(&scenarios);
@@ -912,12 +912,12 @@ pub fn fig_scaling(cfg: &RunConfig) -> String {
             .measure(measure)
             .update_period(update_period)
             .throughput_bin(update_period)
-            .threads(cfg.threads);
+            .context(cfg.ctx.clone());
         println!(
             "  [{label}] running {} jobs on {} thread{}...",
             campaign.jobs().len(),
-            cfg.threads,
-            if cfg.threads == 1 { "" } else { "s" }
+            cfg.ctx.threads,
+            if cfg.ctx.threads == 1 { "" } else { "s" }
         );
         let outcome = campaign.run();
         let mut curves = Vec::new();

@@ -6,8 +6,10 @@
 use serde::Serialize;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Arc;
 use wlan_core::{
-    default_threads, Campaign, CampaignReport, Protocol, ResultCache, Scenario, TopologySpec,
+    attempts_from, collect_checked, default_threads, Campaign, CampaignReport, FaultPlan, Protocol,
+    ResultCache, RunContext, Scenario, TopologySpec,
 };
 use wlan_sim::SimDuration;
 
@@ -15,21 +17,24 @@ use wlan_sim::SimDuration;
 ///
 /// `from_env` / `from_args` are the **single source** of the `--quick` /
 /// `--full` / `--threads` / `--no-cache` command line and the
-/// `WLAN_REPRO_QUICK` / `WLAN_THREADS` / `WLAN_NO_CACHE` environment
+/// `WLAN_REPRO_QUICK` / `WLAN_THREADS` / `WLAN_NO_CACHE` /
+/// `WLAN_JOB_RETRIES` / `WLAN_FAULT_PLAN` / `WLAN_CACHE_DIR` environment
 /// variables; binaries must consume this struct rather than re-parsing
 /// either.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct RunConfig {
     /// Quick mode: fewer seeds, fewer sweep points and shorter runs. Intended for
     /// CI and for smoke-testing the harness; the full mode reproduces the paper's
     /// averaging (20 iterations) more closely.
     pub quick: bool,
-    /// Worker threads for campaign execution. Results are bit-identical for
-    /// every value; more threads only finish sooner.
-    pub threads: usize,
     /// Disable the content-addressed result cache (`--no-cache` /
     /// `WLAN_NO_CACHE=1`): every job goes to the engine, nothing is stored.
     pub no_cache: bool,
+    /// What every campaign of the run executes on: the worker threads
+    /// (results are bit-identical for every value), the `WLAN_JOB_RETRIES`
+    /// attempt budget, the `WLAN_FAULT_PLAN` fault plan, and the result
+    /// cache once [`RunConfig::with_cache`] opened it.
+    pub ctx: RunContext,
 }
 
 impl RunConfig {
@@ -41,18 +46,17 @@ impl RunConfig {
         Self::from_args(&args)
     }
 
-    /// Parse an explicit argument list (`--quick`, `--full`, `--threads N`),
-    /// falling back to `WLAN_REPRO_QUICK` / `WLAN_THREADS` for anything the
-    /// arguments leave unset.
+    /// Parse an explicit argument list (`--quick`, `--full`, `--threads N`,
+    /// `--no-cache`), falling back to the environment for anything the
+    /// arguments leave unset. Opens no cache (see [`RunConfig::with_cache`]).
     pub fn from_args(args: &[String]) -> Self {
+        let env = |name: &str| std::env::var(name).ok();
         let quick = if args.iter().any(|a| a == "--full") {
             false
         } else if args.iter().any(|a| a == "--quick") {
             true
         } else {
-            std::env::var("WLAN_REPRO_QUICK")
-                .map(|v| v != "0")
-                .unwrap_or(true)
+            env("WLAN_REPRO_QUICK").is_none_or(|v| v != "0")
         };
         let threads = args
             .iter()
@@ -62,49 +66,28 @@ impl RunConfig {
             .filter(|&t| t >= 1)
             .unwrap_or_else(default_threads);
         let no_cache = args.iter().any(|a| a == "--no-cache")
-            || std::env::var("WLAN_NO_CACHE")
-                .map(|v| v != "0")
-                .unwrap_or(false);
+            || env("WLAN_NO_CACHE").is_some_and(|v| v != "0");
         RunConfig {
             quick,
-            threads,
             no_cache,
+            ctx: RunContext {
+                attempts: attempts_from(env("WLAN_JOB_RETRIES").as_deref()),
+                faults: fault_plan_from(env("WLAN_FAULT_PLAN").as_deref()),
+                ..RunContext::new(threads)
+            },
         }
     }
 
-    /// Install the process-global result cache unless `--no-cache` was given.
-    ///
-    /// The cache directory is `WLAN_CACHE_DIR` when set, else `.cache/` inside
-    /// [`out_dir`]. Returns the installed cache so callers can report hit/miss
-    /// statistics; an unopenable directory degrades to uncached execution with
-    /// a warning rather than aborting the run.
-    pub fn install_cache(&self) -> Option<&'static ResultCache> {
-        if self.no_cache {
-            return None;
+    /// This configuration with the result cache opened unless `--no-cache`
+    /// was given: in `WLAN_CACHE_DIR` when set, else in `.cache/` inside
+    /// [`out_dir`]. An unusable directory warns and leaves the run
+    /// compute-only; it never falls back to another directory.
+    pub fn with_cache(mut self) -> Self {
+        if !self.no_cache {
+            let dir = std::env::var("WLAN_CACHE_DIR").ok();
+            self.ctx.cache = open_cache(dir.as_deref(), self.ctx.faults.clone()).map(Arc::new);
         }
-        if let Some(cache) = wlan_core::cache::install_from_env() {
-            return Some(cache);
-        }
-        let dir = out_dir().join(".cache");
-        match ResultCache::open(&dir) {
-            Ok(cache) => Some(wlan_core::cache::install(cache)),
-            Err(e) => {
-                eprintln!("warning: cannot open result cache {}: {e}", dir.display());
-                None
-            }
-        }
-    }
-
-    /// Install the deterministic fault plan from `WLAN_FAULT_PLAN`, if set
-    /// (chaos experiments on the repro binaries; a no-op otherwise). Reports
-    /// the active plan on stderr so a chaos run is visible in the logs.
-    pub fn install_faults(&self) -> Option<std::sync::Arc<wlan_core::FaultPlan>> {
-        let plan = wlan_core::fault::install_from_env()?;
-        eprintln!(
-            "harness: WLAN_FAULT_PLAN active (seed {}) — injecting deterministic faults",
-            plan.seed()
-        );
-        Some(plan)
+        self
     }
 
     /// Seeds to average over.
@@ -149,18 +132,50 @@ impl RunConfig {
         }
     }
 
-    /// A [`Campaign`] pre-configured with this run's durations and thread count;
+    /// A [`Campaign`] pre-configured with this run's durations and context;
     /// callers add the protocol/topology/N/seed grid.
     pub fn campaign(&self) -> Campaign {
         Campaign::new()
             .warmups(self.adaptive_warmup(), self.static_warmup())
             .measure(self.measure())
-            .threads(self.threads)
+            .context(self.ctx.clone())
     }
 
-    /// Run one scenario list on this run's thread pool, preserving input order.
+    /// Run one scenario list on this run's context, preserving input order
+    /// (panics if any job was quarantined).
     pub fn run_scenarios(&self, scenarios: &[Scenario]) -> Vec<wlan_core::ScenarioResult> {
-        wlan_core::run_scenarios(scenarios, self.threads)
+        collect_checked(self.ctx.run(scenarios)).unwrap_or_else(|e| panic!("campaign failed: {e}"))
+    }
+}
+
+/// Parse a `WLAN_FAULT_PLAN` value. A malformed plan is reported on stderr
+/// and ignored: an unparsable chaos experiment must not fail open into
+/// injected faults.
+pub fn fault_plan_from(var: Option<&str>) -> Option<Arc<FaultPlan>> {
+    match FaultPlan::from_spec(var?) {
+        Ok(plan) => Some(Arc::new(plan)),
+        Err(e) => {
+            eprintln!("warning: ignoring malformed WLAN_FAULT_PLAN: {e}");
+            None
+        }
+    }
+}
+
+/// Open the result cache in `dir` (a `WLAN_CACHE_DIR` value), or in `.cache/`
+/// inside [`out_dir`] when `dir` is `None`, checking `faults` at its I/O
+/// sites. An unusable directory warns and yields `None` — the run goes
+/// compute-only instead of caching somewhere else.
+fn open_cache(dir: Option<&str>, faults: Option<Arc<FaultPlan>>) -> Option<ResultCache> {
+    let dir = dir.map_or_else(|| out_dir().join(".cache"), PathBuf::from);
+    match ResultCache::open(&dir) {
+        Ok(cache) => Some(cache.with_faults(faults)),
+        Err(e) => {
+            eprintln!(
+                "warning: result cache {} is unusable ({e}) — running without cache",
+                dir.display()
+            );
+            None
+        }
     }
 }
 
@@ -209,7 +224,7 @@ pub struct ThroughputCurve {
 ///
 /// Returns the per-protocol curves (in `protocols` order) plus the campaign's
 /// per-cell statistics report; both are deterministic regardless of
-/// `cfg.threads`.
+/// `cfg.ctx.threads`.
 pub fn throughput_vs_n(
     cfg: &RunConfig,
     protocols: &[Protocol],
@@ -228,8 +243,8 @@ pub fn throughput_vs_n(
     println!(
         "  [{label}] running {} jobs on {} thread{}...",
         campaign.jobs().len(),
-        cfg.threads,
-        if cfg.threads == 1 { "" } else { "s" }
+        cfg.ctx.threads,
+        if cfg.ctx.threads == 1 { "" } else { "s" }
     );
     let outcome = campaign.run();
     // Cells arrive in grid order: protocol-major, node counts within protocol.
@@ -291,13 +306,12 @@ mod tests {
     fn quick_config_is_smaller_than_full() {
         let quick = RunConfig {
             quick: true,
-            threads: 1,
             no_cache: true,
+            ctx: RunContext::new(1),
         };
         let full = RunConfig {
             quick: false,
-            threads: 1,
-            no_cache: true,
+            ..quick.clone()
         };
         assert!(quick.seeds().len() < full.seeds().len());
         assert!(quick.node_counts().len() <= full.node_counts().len());
@@ -310,20 +324,37 @@ mod tests {
         let to_args = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
         let cfg = RunConfig::from_args(&to_args(&["bin", "--full", "--threads", "3"]));
         assert!(!cfg.quick);
-        assert_eq!(cfg.threads, 3);
+        assert_eq!(cfg.ctx.threads, 3);
         let cfg = RunConfig::from_args(&to_args(&["bin", "--quick"]));
         assert!(cfg.quick);
-        assert!(cfg.threads >= 1);
+        assert!(cfg.ctx.threads >= 1);
         // --full wins over --quick, mirroring the historical behaviour.
         let cfg = RunConfig::from_args(&to_args(&["bin", "--quick", "--full"]));
         assert!(!cfg.quick);
         // Malformed --threads falls back to the default.
         let cfg = RunConfig::from_args(&to_args(&["bin", "--threads", "zero"]));
-        assert!(cfg.threads >= 1);
+        assert!(cfg.ctx.threads >= 1);
         // --no-cache is recognised; absent, the cache stays enabled (unless
         // the WLAN_NO_CACHE environment override is exported).
         let cfg = RunConfig::from_args(&to_args(&["bin", "--no-cache"]));
         assert!(cfg.no_cache);
+        assert!(cfg.ctx.cache.is_none(), "parsing opens no cache");
+    }
+
+    #[test]
+    fn unusable_cache_dir_runs_compute_only() {
+        let path = std::env::temp_dir().join(format!("wlan_harness_cache_{}", std::process::id()));
+        std::fs::write(&path, "a file, not a directory").unwrap();
+        assert!(open_cache(path.to_str(), None).is_none());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn malformed_fault_plans_are_ignored() {
+        assert!(fault_plan_from(None).is_none());
+        assert!(fault_plan_from(Some("teleport=1")).is_none());
+        let plan = fault_plan_from(Some("seed=4;job_panic=1")).unwrap();
+        assert_eq!(plan.seed(), 4);
     }
 
     #[test]

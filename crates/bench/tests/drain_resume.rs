@@ -13,8 +13,13 @@ extern "C" {
 }
 const SIGTERM: i32 = 15;
 
+/// The server binary, writing its default outputs (`metrics.json`) to a
+/// temp directory instead of `results/` in the working directory.
 fn server() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_campaign_server"))
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_campaign_server"));
+    let out = std::env::temp_dir().join(format!("wlan_drain_out_{}", std::process::id()));
+    cmd.env("WLAN_REPRO_OUT", out);
+    cmd
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {

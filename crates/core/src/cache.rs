@@ -34,12 +34,11 @@
 //!
 //! ## Wiring
 //!
-//! [`crate::run_scenarios`] consults the process-global cache — set
-//! explicitly with [`install`], or from the `WLAN_CACHE_DIR` environment
-//! variable with [`install_from_env`]. Nothing is cached unless one of those
-//! ran: library users and tests are unaffected by default. For explicit
-//! control (and for tests) use [`crate::run_scenarios_cached`] with a local
-//! [`ResultCache`].
+//! The library never opens a cache on its own: a caller opens a
+//! [`ResultCache`] and hands it to the campaign pool in
+//! [`crate::RunContext::cache`]. A context without a cache computes every
+//! job. The `WLAN_CACHE_DIR` environment variable is parsed by the binaries'
+//! entry points (the experiment harness and `campaign_server`), never here.
 //!
 //! ## Degradation
 //!
@@ -48,15 +47,16 @@
 //! into *degraded* mode — one warning on stderr, then compute-only
 //! operation from the caller's side. The deterministic fault injector
 //! ([`crate::fault`]) can trip the `cache_read` / `cache_write` sites to
-//! exercise exactly these paths.
+//! exercise exactly these paths, through the plan a handle carries
+//! ([`ResultCache::with_faults`]).
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::fault::{self, FaultSite};
+use crate::fault::{FaultPlan, FaultSite};
 use crate::scenario::{Scenario, ScenarioResult};
 use serde::{Deserialize, Serialize, Value};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::Arc;
 
 /// Engine code-version fingerprint folded into every cache key.
 ///
@@ -85,6 +85,7 @@ pub struct ResultCache {
     hits: AtomicU64,
     misses: AtomicU64,
     store_failures: AtomicU64,
+    faults: Option<Arc<FaultPlan>>,
 }
 
 impl ResultCache {
@@ -97,7 +98,21 @@ impl ResultCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             store_failures: AtomicU64::new(0),
+            faults: None,
         })
+    }
+
+    /// This handle with `plan` consulted at the `cache_read` and
+    /// `cache_write` fault sites (`None`: no injected faults, as opened).
+    pub fn with_faults(mut self, plan: Option<Arc<FaultPlan>>) -> Self {
+        self.faults = plan;
+        self
+    }
+
+    fn trips(&self, site: FaultSite, key: &str) -> bool {
+        self.faults
+            .as_ref()
+            .is_some_and(|plan| plan.should_fault(site, key, 0))
     }
 
     /// The directory entries live in.
@@ -124,7 +139,7 @@ impl ResultCache {
     pub fn lookup(&self, key: &str) -> Option<ScenarioResult> {
         // An injected cache_read fault models a read I/O error, which — like
         // every other read failure — is simply a miss.
-        if fault::trips(FaultSite::CacheRead, key, 0) {
+        if self.trips(FaultSite::CacheRead, key) {
             self.misses.fetch_add(1, Ordering::Relaxed);
             crate::metrics::global().record_cache_miss();
             return None;
@@ -168,7 +183,7 @@ impl ResultCache {
     /// Store `result` under `key` (atomic temp-file + rename; an existing
     /// entry — e.g. a corrupt one that just missed — is replaced).
     pub fn store(&self, key: &str, result: &ScenarioResult) -> std::io::Result<()> {
-        if fault::trips(FaultSite::CacheWrite, key, 0) {
+        if self.trips(FaultSite::CacheWrite, key) {
             return Err(std::io::Error::other(format!(
                 "injected fault: cache_write (key {key})"
             )));
@@ -300,52 +315,11 @@ fn canonical(value: &Value, out: &mut String) {
     }
 }
 
-static GLOBAL: OnceLock<ResultCache> = OnceLock::new();
-
-/// Install `cache` as the process-global cache consulted by
-/// [`crate::run_scenarios`]. First install wins — a later call leaves the
-/// existing global in place and returns it.
-pub fn install(cache: ResultCache) -> &'static ResultCache {
-    let _ = GLOBAL.set(cache);
-    match GLOBAL.get() {
-        Some(cache) => cache,
-        // `set` either succeeded or found the cell already populated; a
-        // populated OnceLock can never read back empty.
-        None => unreachable!("global cache was just installed"),
-    }
-}
-
-/// The process-global cache, if one was installed.
-pub fn installed() -> Option<&'static ResultCache> {
-    GLOBAL.get()
-}
-
-/// Install the global cache from the `WLAN_CACHE_DIR` environment variable
-/// (no-op returning `None` when unset; an already installed global wins as
-/// in [`install`]). An unopenable directory logs one warning and returns
-/// `None` — the campaign runs compute-only instead of aborting.
-pub fn install_from_env() -> Option<&'static ResultCache> {
-    if let Some(cache) = installed() {
-        return Some(cache);
-    }
-    let dir = std::env::var("WLAN_CACHE_DIR").ok()?;
-    match ResultCache::open(&dir) {
-        Ok(cache) => Some(install(cache)),
-        Err(e) => {
-            crate::metrics::warn(&format!(
-                "WLAN_CACHE_DIR={dir} is unusable ({e}) — running without cache"
-            ));
-            None
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use crate::fault::FaultPlan;
     use crate::protocol::Protocol;
     use crate::scenario::TopologySpec;
 
@@ -412,40 +386,36 @@ mod tests {
     fn injected_write_fault_fails_store_and_read_fault_forces_miss() {
         let dir = std::env::temp_dir().join(format!("wlan_cache_fault_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = ResultCache::open(&dir).unwrap();
+        let faulty = |site| {
+            let plan = FaultPlan::builder(3).site(site, 1.0, None).build();
+            ResultCache::open(&dir)
+                .unwrap()
+                .with_faults(Some(Arc::new(plan)))
+        };
         let s = scenario();
         let result = s.run();
         let key = job_key(&s);
 
-        {
-            let _guard = crate::fault::scoped(
-                FaultPlan::builder(3)
-                    .site(FaultSite::CacheWrite, 1.0, None)
-                    .build(),
-            );
-            let err = cache
-                .store(&key, &result)
-                .expect_err("write fault must trip");
-            assert!(err.to_string().contains("injected fault"));
-            assert!(!cache.degraded(), "store() itself never flips degradation");
-            cache.note_degraded(&key, &err);
-            cache.note_degraded(&key, &err);
-            assert!(cache.degraded());
-            assert_eq!(cache.store_failures(), 2, "counted, warned once");
-        }
+        let cache = faulty(FaultSite::CacheWrite);
+        let err = cache
+            .store(&key, &result)
+            .expect_err("write fault must trip");
+        assert!(err.to_string().contains("injected fault"));
+        assert!(!cache.degraded(), "store() itself never flips degradation");
+        cache.note_degraded(&key, &err);
+        cache.note_degraded(&key, &err);
+        assert!(cache.degraded());
+        assert_eq!(cache.store_failures(), 2, "counted, warned once");
 
-        // Fault cleared: the store lands and a read fault then hides it.
-        cache.store(&key, &result).unwrap();
-        assert!(cache.lookup(&key).is_some());
-        {
-            let _guard = crate::fault::scoped(
-                FaultPlan::builder(3)
-                    .site(FaultSite::CacheRead, 1.0, None)
-                    .build(),
-            );
-            assert!(cache.lookup(&key).is_none(), "read fault is a miss");
-        }
-        assert!(cache.lookup(&key).is_some(), "entry intact after the fault");
+        // A handle without the plan stores; a read fault then hides the entry.
+        let clean = ResultCache::open(&dir).unwrap();
+        clean.store(&key, &result).unwrap();
+        assert!(clean.lookup(&key).is_some());
+        assert!(
+            faulty(FaultSite::CacheRead).lookup(&key).is_none(),
+            "read fault is a miss"
+        );
+        assert!(clean.lookup(&key).is_some(), "entry intact after the fault");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

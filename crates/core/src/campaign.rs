@@ -10,19 +10,32 @@
 //! module guarantees by pre-expanding the grid into an indexed job list and
 //! writing each worker's result into the slot of the job it claimed.
 //!
+//! ## Run context
+//!
+//! A [`RunContext`] carries everything a run needs besides its jobs: the
+//! worker count, the attempt budget, an optional [`ResultCache`] and an
+//! optional [`FaultPlan`]. [`RunContext::run`] is the one executor; a run is
+//! cached exactly when its context holds a cache, and faulted exactly when it
+//! holds a plan. Neither is process-global, so two runs with different
+//! contexts can overlap in one process (as concurrent tests do) without
+//! seeing each other's cache or faults. (Only the counters of
+//! [`crate::metrics::global`] are shared.) The library reads no environment
+//! variable for these: `WLAN_CACHE_DIR`, `WLAN_FAULT_PLAN` and
+//! `WLAN_JOB_RETRIES` are parsed by the binaries' entry points, which build
+//! the context (see [`attempts_from`] for the retry budget).
+//!
 //! ## Supervision
 //!
 //! Every job runs under [`std::panic::catch_unwind`]: a panicking job (a
-//! real bug, or an injected [`crate::fault`] fault) is retried up to
-//! [`max_job_attempts`] times with a deterministic backoff, and a job that
-//! exhausts its attempts is **quarantined** into a structured
+//! real bug, or a fault injected by the context's plan) is retried up to
+//! [`RunContext::attempts`] times with a deterministic backoff, and a job
+//! that exhausts its attempts is **quarantined** into a structured
 //! [`JobError`] slot instead of tearing down the whole pool. Retries never
 //! perturb anything: each job owns all of its randomness, so a retry is a
 //! pure re-execution, and results are collected by slot index, so the
 //! output order — and the output bytes of every healthy job — are identical
-//! to a fault-free serial run. [`run_scenarios_checked`] exposes the per-job
-//! `Result`s; [`run_scenarios`] keeps the historical infallible signature
-//! (it panics, after the pool has fully drained, if any job was quarantined).
+//! to a fault-free serial run. [`RunContext::run`] returns the per-job
+//! `Result`s; [`collect_checked`] folds them into all-or-error form.
 //!
 //! ```
 //! use wlan_core::{Campaign, Protocol, TopologySpec};
@@ -44,13 +57,13 @@
 
 use crate::cache::ResultCache;
 use crate::error::{CampaignError, JobError};
-use crate::fault::{self, FaultSite};
+use crate::fault::{FaultPlan, FaultSite};
 use crate::protocol::Protocol;
 use crate::scenario::{Scenario, ScenarioResult, TopologySpec};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 use wlan_sim::{SimDuration, TrafficSpec};
 
@@ -89,18 +102,14 @@ fn threads_from(var: Option<&str>) -> usize {
 /// `WLAN_JOB_RETRIES` environment variable does not override it.
 pub const DEFAULT_JOB_RETRIES: u32 = 2;
 
-/// Total attempts the supervised pool gives each job: 1 initial run plus
-/// `WLAN_JOB_RETRIES` retries (default [`DEFAULT_JOB_RETRIES`]). A job that
-/// panics on every attempt is quarantined as [`JobError::Panicked`].
-pub fn max_job_attempts() -> u32 {
-    attempts_from(std::env::var("WLAN_JOB_RETRIES").ok().as_deref())
-}
-
-/// [`max_job_attempts`] with the `WLAN_JOB_RETRIES` value passed in.
-fn attempts_from(var: Option<&str>) -> u32 {
-    1 + var
-        .and_then(|v| v.parse::<u32>().ok())
+/// Total attempts for a `WLAN_JOB_RETRIES` value: 1 initial run plus the
+/// retries it names (default [`DEFAULT_JOB_RETRIES`], which an unparsable
+/// value also falls back to), saturating at `u32::MAX`. Entry points pass the
+/// variable in and store the answer in [`RunContext::attempts`].
+pub fn attempts_from(var: Option<&str>) -> u32 {
+    var.and_then(|v| v.parse::<u32>().ok())
         .unwrap_or(DEFAULT_JOB_RETRIES)
+        .saturating_add(1)
 }
 
 /// Deterministic backoff before retry `attempt` (1-based): doubling from
@@ -121,104 +130,185 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Run one job under supervision: pre-flight validation, panic isolation,
-/// bounded deterministic retries, and fault injection at the `job_panic` /
-/// `worker_stall` sites of the active [`crate::fault::FaultPlan`] (scoped by
-/// the job's content-addressed cache key, so the schedule is independent of
-/// thread scheduling).
-fn run_one_supervised(scenario: &Scenario, attempts: u32) -> Result<ScenarioResult, JobError> {
-    let metrics = crate::metrics::global();
-    if let Err(e) = scenario.validate() {
-        metrics.record_job_failure();
-        return Err(JobError::InvalidScenario(e));
-    }
-    let plan = fault::active();
-    let scope = plan
-        .as_ref()
-        .filter(|p| {
-            p.site(FaultSite::JobPanic).is_some() || p.site(FaultSite::WorkerStall).is_some()
-        })
-        .map(|_| crate::cache::job_key(scenario));
-    let mut last_panic = String::new();
-    for attempt in 0..attempts.max(1) {
-        if attempt > 0 {
-            metrics.record_retry();
-            std::thread::sleep(retry_backoff(attempt));
+/// Everything a campaign run needs besides its jobs (see the
+/// [module docs](self#run-context)).
+#[derive(Debug, Clone)]
+pub struct RunContext {
+    /// Worker threads. Results are bit-identical for every value.
+    pub threads: usize,
+    /// Attempts each job gets before it is quarantined (at least one runs).
+    pub attempts: u32,
+    /// Serve stored jobs from this cache and store fresh results into it;
+    /// `None` computes every job.
+    pub cache: Option<Arc<ResultCache>>,
+    /// The plan whose `job_panic` and `worker_stall` sites the pool trips;
+    /// `None` injects nothing. The cache checks the plan of its own handle.
+    pub faults: Option<Arc<FaultPlan>>,
+}
+
+impl RunContext {
+    /// `threads` workers (at least 1), `1 + DEFAULT_JOB_RETRIES` attempts,
+    /// no cache and no fault plan.
+    pub fn new(threads: usize) -> Self {
+        RunContext {
+            threads: threads.max(1),
+            attempts: 1 + DEFAULT_JOB_RETRIES,
+            cache: None,
+            faults: None,
         }
-        if let (Some(plan), Some(scope)) = (plan.as_deref(), scope.as_deref()) {
-            if plan.should_fault(FaultSite::WorkerStall, scope, attempt) {
-                std::thread::sleep(plan.stall());
+    }
+
+    /// Run `scenarios` and return one `Result` per scenario, **in input
+    /// order**, bit-identical to running them serially.
+    ///
+    /// The pool is deliberately simple: workers claim the next unclaimed job
+    /// via an atomic counter (dynamic load balancing, like a work-stealing
+    /// deque with a single shared queue) and write the result into that
+    /// job's dedicated slot. Scheduling order therefore never influences
+    /// output order, and each job's determinism comes from the scenario
+    /// owning all of its randomness. A quarantined job occupies its own
+    /// error slot; every other job's result is bit-identical to a run in
+    /// which the failure never happened.
+    ///
+    /// With a cache, jobs whose key is stored are served from disk, only the
+    /// misses run on the pool (in their original relative order), and the
+    /// healthy fresh results are stored — bit-identical either way, because
+    /// the cache stores exactly what the engine produced. A broken cache
+    /// never aborts the run or changes its results: a failed read is a miss,
+    /// and a failed store (read-only directory, disk full, injected
+    /// `cache_write` fault) logs **one** warning per cache handle while the
+    /// run continues compute-only.
+    pub fn run(&self, scenarios: &[Scenario]) -> Vec<Result<ScenarioResult, JobError>> {
+        let Some(cache) = self.cache.as_deref() else {
+            return self.run_pool(scenarios);
+        };
+        let keys: Vec<String> = scenarios.iter().map(crate::cache::job_key).collect();
+        let mut out: Vec<Option<Result<ScenarioResult, JobError>>> =
+            keys.iter().map(|k| cache.lookup(k).map(Ok)).collect();
+        let missing: Vec<usize> = (0..out.len()).filter(|&i| out[i].is_none()).collect();
+        if !missing.is_empty() {
+            let jobs: Vec<Scenario> = missing.iter().map(|&i| scenarios[i].clone()).collect();
+            for (&i, result) in missing.iter().zip(self.run_pool(&jobs)) {
+                if let Ok(result) = &result {
+                    // A failed store only loses the cache entry, never the result.
+                    if let Err(e) = cache.store(&keys[i], result) {
+                        cache.note_degraded(&keys[i], &e);
+                    }
+                }
+                out[i] = Some(result);
             }
         }
-        let started = std::time::Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if let (Some(plan), Some(scope)) = (plan.as_deref(), scope.as_deref()) {
-                if plan.should_fault(FaultSite::JobPanic, scope, attempt) {
-                    panic!("injected fault: job_panic (scope {scope}, attempt {attempt})");
+        out.into_iter()
+            .map(|slot| match slot {
+                Some(result) => result,
+                None => unreachable!("every slot is a hit or a computed miss"),
+            })
+            .collect()
+    }
+
+    /// The supervised thread-pool executor, cache aside.
+    fn run_pool(&self, scenarios: &[Scenario]) -> Vec<Result<ScenarioResult, JobError>> {
+        let n = scenarios.len();
+        let next = AtomicUsize::new(0);
+        if self.threads <= 1 || n <= 1 {
+            return with_heartbeat(&next, n, || {
+                scenarios
+                    .iter()
+                    .map(|s| {
+                        next.fetch_add(1, Ordering::Relaxed);
+                        self.run_one(s)
+                    })
+                    .collect()
+            });
+        }
+        type Slot = Mutex<Option<Result<ScenarioResult, JobError>>>;
+        let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
+        with_heartbeat(&next, n, || {
+            std::thread::scope(|scope| {
+                for _ in 0..self.threads.min(n) {
+                    scope.spawn(|| loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        // run_one never unwinds (panics are caught and
+                        // converted), so a worker can never poison a slot or
+                        // tear down the scope.
+                        let result = self.run_one(&scenarios[i]);
+                        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
+                    });
+                }
+            })
+        });
+        slots
+            .into_iter()
+            .map(|slot| {
+                match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
+                    Some(result) => result,
+                    // Every index below `n` is claimed exactly once and the
+                    // claiming worker always stores before looping.
+                    None => unreachable!("campaign pool left an unfilled result slot"),
+                }
+            })
+            .collect()
+    }
+
+    /// Run one job under supervision: pre-flight validation, panic isolation,
+    /// bounded deterministic retries, and fault injection at the `job_panic` /
+    /// `worker_stall` sites of the context's plan (scoped by the job's
+    /// content-addressed cache key, so the schedule is independent of thread
+    /// scheduling).
+    fn run_one(&self, scenario: &Scenario) -> Result<ScenarioResult, JobError> {
+        let metrics = crate::metrics::global();
+        if let Err(e) = scenario.validate() {
+            metrics.record_job_failure();
+            return Err(JobError::InvalidScenario(e));
+        }
+        let attempts = self.attempts.max(1);
+        let plan = self.faults.as_deref().filter(|p| {
+            p.site(FaultSite::JobPanic).is_some() || p.site(FaultSite::WorkerStall).is_some()
+        });
+        let scope = plan.map(|_| crate::cache::job_key(scenario));
+        let mut last_panic = String::new();
+        for attempt in 0..attempts {
+            if attempt > 0 {
+                metrics.record_retry();
+                std::thread::sleep(retry_backoff(attempt));
+            }
+            if let (Some(plan), Some(scope)) = (plan, scope.as_deref()) {
+                if plan.should_fault(FaultSite::WorkerStall, scope, attempt) {
+                    std::thread::sleep(plan.stall());
                 }
             }
-            scenario.run_counted()
-        }));
-        match outcome {
-            Ok((result, events)) => {
-                metrics.record_job(events, started.elapsed());
-                return Ok(result);
+            let started = std::time::Instant::now();
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                if let (Some(plan), Some(scope)) = (plan, scope.as_deref()) {
+                    if plan.should_fault(FaultSite::JobPanic, scope, attempt) {
+                        panic!("injected fault: job_panic (scope {scope}, attempt {attempt})");
+                    }
+                }
+                scenario.run_counted()
+            }));
+            match outcome {
+                Ok((result, events)) => {
+                    metrics.record_job(events, started.elapsed());
+                    return Ok(result);
+                }
+                Err(payload) => last_panic = panic_message(payload),
             }
-            Err(payload) => last_panic = panic_message(payload),
         }
-    }
-    metrics.record_quarantine();
-    metrics.record_job_failure();
-    Err(JobError::Panicked {
-        attempts: attempts.max(1),
-        message: last_panic,
-    })
-}
-
-/// Run a list of independent scenarios on `threads` workers and return the
-/// results **in input order**, bit-identical to running them serially.
-///
-/// The pool is deliberately simple: workers claim the next unclaimed job via
-/// an atomic counter (dynamic load balancing, like a work-stealing deque with
-/// a single shared queue) and write the result into that job's dedicated
-/// slot. Scheduling order therefore never influences output order, and each
-/// job's determinism comes from the scenario owning all of its randomness.
-///
-/// When a process-global [`ResultCache`] is installed
-/// ([`crate::cache::install`] / [`crate::cache::install_from_env`]), jobs
-/// whose key is already cached are served from disk and only the misses run
-/// on the pool — the results are bit-identical either way, because the cache
-/// stores exactly what the engine produced. No global installed (the
-/// default) means no caching and no behaviour change.
-///
-/// Panics — after every job has been given its full retry budget and every
-/// healthy result collected — if any job was quarantined; use
-/// [`try_run_scenarios`] or [`run_scenarios_checked`] to handle failures as
-/// values.
-pub fn run_scenarios(scenarios: &[Scenario], threads: usize) -> Vec<ScenarioResult> {
-    match try_run_scenarios(scenarios, threads) {
-        Ok(results) => results,
-        Err(e) => panic!("campaign failed: {e}"),
+        metrics.record_quarantine();
+        metrics.record_job_failure();
+        Err(JobError::Panicked {
+            attempts,
+            message: last_panic,
+        })
     }
 }
 
-/// [`run_scenarios`], but a quarantined job is an `Err` value instead of a
-/// panic: all healthy results are returned and the failures listed by input
-/// index.
-pub fn try_run_scenarios(
-    scenarios: &[Scenario],
-    threads: usize,
-) -> Result<Vec<ScenarioResult>, CampaignError> {
-    let checked = match crate::cache::installed() {
-        Some(cache) => run_scenarios_cached_checked(scenarios, threads, cache),
-        None => run_scenarios_checked(scenarios, threads),
-    };
-    collect_checked(checked)
-}
-
-/// Fold per-job results into all-or-error form (healthy results in input
-/// order, or the ascending-index failure list).
-fn collect_checked(
+/// Fold the per-job results of [`RunContext::run`] into all-or-error form:
+/// the healthy results in input order, or the ascending-index failure list.
+pub fn collect_checked(
     checked: Vec<Result<ScenarioResult, JobError>>,
 ) -> Result<Vec<ScenarioResult>, CampaignError> {
     let mut out = Vec::with_capacity(checked.len());
@@ -233,6 +323,15 @@ fn collect_checked(
         Ok(out)
     } else {
         Err(CampaignError { failures })
+    }
+}
+
+/// [`collect_checked`] for callers with no use for partial results: panics,
+/// after every job has been given its full retry budget, if any job failed.
+fn expect_all(checked: Vec<Result<ScenarioResult, JobError>>) -> Vec<ScenarioResult> {
+    match collect_checked(checked) {
+        Ok(results) => results,
+        Err(e) => panic!("campaign failed: {e}"),
     }
 }
 
@@ -275,132 +374,11 @@ fn with_heartbeat<R>(claimed: &AtomicUsize, total: usize, body: impl FnOnce() ->
     })
 }
 
-/// The supervised thread-pool executor: one `Result` per input scenario, in
-/// input order. A quarantined job occupies its own error slot; every other
-/// job's result is bit-identical to a run in which the failure never
-/// happened. Does not consult the result cache — see
-/// [`run_scenarios_cached_checked`].
-pub fn run_scenarios_checked(
-    scenarios: &[Scenario],
-    threads: usize,
-) -> Vec<Result<ScenarioResult, JobError>> {
-    let n = scenarios.len();
-    let attempts = max_job_attempts();
-    let next = AtomicUsize::new(0);
-    if threads <= 1 || n <= 1 {
-        return with_heartbeat(&next, n, || {
-            scenarios
-                .iter()
-                .map(|s| {
-                    next.fetch_add(1, Ordering::Relaxed);
-                    run_one_supervised(s, attempts)
-                })
-                .collect()
-        });
-    }
-    type Slot = Mutex<Option<Result<ScenarioResult, JobError>>>;
-    let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
-    with_heartbeat(&next, n, || {
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(n) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    // run_one_supervised never unwinds (panics are caught and
-                    // converted), so a worker can never poison a slot or tear
-                    // down the scope.
-                    let result = run_one_supervised(&scenarios[i], attempts);
-                    *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
-                });
-            }
-        })
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
-                Some(result) => result,
-                // Every index below `n` is claimed exactly once and the
-                // claiming worker always stores before looping.
-                None => unreachable!("campaign pool left an unfilled result slot"),
-            }
-        })
-        .collect()
-}
-
-/// [`run_scenarios_checked`] against an explicit [`ResultCache`]: serve
-/// cached jobs from disk, run only the misses on the supervised pool (in
-/// their original relative order), store the healthy fresh results, and
-/// return everything in input order.
-///
-/// Cache degradation is graceful by design: a failed read is a miss (the job
-/// recomputes), and a failed store — read-only directory, disk full, or an
-/// injected `cache_write` fault — logs **one** warning per cache handle and
-/// the campaign continues compute-only. A broken cache can never abort a
-/// campaign or change its results.
-pub fn run_scenarios_cached_checked(
-    scenarios: &[Scenario],
-    threads: usize,
-    cache: &ResultCache,
-) -> Vec<Result<ScenarioResult, JobError>> {
-    let keys: Vec<String> = scenarios.iter().map(crate::cache::job_key).collect();
-    let mut out: Vec<Option<Result<ScenarioResult, JobError>>> =
-        keys.iter().map(|k| cache.lookup(k).map(Ok)).collect();
-    let missing: Vec<usize> = (0..out.len()).filter(|&i| out[i].is_none()).collect();
-    if !missing.is_empty() {
-        let jobs: Vec<Scenario> = missing.iter().map(|&i| scenarios[i].clone()).collect();
-        let fresh = run_scenarios_checked(&jobs, threads);
-        for (&i, result) in missing.iter().zip(fresh) {
-            if let Ok(result) = &result {
-                // A failed store only loses the cache entry, never the result.
-                if let Err(e) = cache.store(&keys[i], result) {
-                    cache.note_degraded(&keys[i], &e);
-                }
-            }
-            out[i] = Some(result);
-        }
-    }
-    out.into_iter()
-        .map(|slot| match slot {
-            Some(result) => result,
-            None => unreachable!("every slot is a hit or a computed miss"),
-        })
-        .collect()
-}
-
-/// [`run_scenarios`] against an explicit [`ResultCache`] (panics if any job
-/// was quarantined, like [`run_scenarios`]).
-pub fn run_scenarios_cached(
-    scenarios: &[Scenario],
-    threads: usize,
-    cache: &ResultCache,
-) -> Vec<ScenarioResult> {
-    match collect_checked(run_scenarios_cached_checked(scenarios, threads, cache)) {
-        Ok(results) => results,
-        Err(e) => panic!("campaign failed: {e}"),
-    }
-}
-
-/// Run the same scenario over several seeds on the shared pool (with
-/// [`default_threads`] workers) and return the per-seed results in seed order.
+/// Run the same scenario over several seeds with [`default_threads`] workers
+/// and return the per-seed results in seed order (panics if a job fails).
 pub fn run_seeds(base: &Scenario, seeds: &[u64]) -> Vec<ScenarioResult> {
-    run_seeds_parallel(base, seeds, default_threads())
-}
-
-/// [`run_seeds`] with an explicit worker count. `threads == 1` is the serial
-/// reference; any other count produces bit-identical results.
-pub fn run_seeds_parallel(base: &Scenario, seeds: &[u64], threads: usize) -> Vec<ScenarioResult> {
-    let scenarios: Vec<Scenario> = seeds
-        .iter()
-        .map(|&seed| {
-            let mut s = base.clone();
-            s.seed = seed;
-            s
-        })
-        .collect();
-    run_scenarios(&scenarios, threads)
+    let scenarios: Vec<Scenario> = seeds.iter().map(|&s| base.clone().seed(s)).collect();
+    expect_all(RunContext::new(default_threads()).run(&scenarios))
 }
 
 /// Declarative description of a grid of experiments: every combination of
@@ -418,7 +396,7 @@ pub struct Campaign {
     update_period: Option<SimDuration>,
     throughput_bin: Option<SimDuration>,
     traffic: Option<TrafficSpec>,
-    threads: Option<usize>,
+    ctx: Option<RunContext>,
 }
 
 impl Default for Campaign {
@@ -429,7 +407,8 @@ impl Default for Campaign {
 
 impl Campaign {
     /// An empty campaign with the paper's default durations (10 s warm-up for
-    /// every protocol class, 10 s measurement) and automatic thread count.
+    /// every protocol class, 10 s measurement), run on
+    /// `RunContext::new(default_threads())` unless told otherwise.
     pub fn new() -> Self {
         Campaign {
             protocols: Vec::new(),
@@ -442,7 +421,7 @@ impl Campaign {
             update_period: None,
             throughput_bin: None,
             traffic: None,
-            threads: None,
+            ctx: None,
         }
     }
 
@@ -511,7 +490,17 @@ impl Campaign {
 
     /// Worker-thread count; defaults to [`default_threads`].
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
+        match &mut self.ctx {
+            Some(ctx) => ctx.threads = threads.max(1),
+            None => self.ctx = Some(RunContext::new(threads)),
+        }
+        self
+    }
+
+    /// Run on `ctx` — its thread count, attempt budget, cache and fault plan
+    /// (replacing any earlier [`threads`](Self::threads) setting).
+    pub fn context(mut self, ctx: RunContext) -> Self {
+        self.ctx = Some(ctx);
         self
     }
 
@@ -548,14 +537,18 @@ impl Campaign {
         jobs
     }
 
-    /// Execute every job on the pool and fold the per-seed results into cells.
+    /// Execute every job on the campaign's [`RunContext`] and fold the
+    /// per-seed results into cells. Panics, after every job has had its full
+    /// retry budget, if any job was quarantined.
     ///
     /// The outcome is independent of the thread count: jobs are collected in
     /// grid order and every aggregation below iterates in that order.
     pub fn run(&self) -> CampaignOutcome {
-        let threads = self.threads.unwrap_or_else(default_threads);
-        let jobs = self.jobs();
-        let results = run_scenarios(&jobs, threads);
+        let ctx = self
+            .ctx
+            .clone()
+            .unwrap_or_else(|| RunContext::new(default_threads()));
+        let results = expect_all(ctx.run(&self.jobs()));
         let mut cells = Vec::new();
         let mut it = results.into_iter();
         for proto in &self.protocols {
@@ -573,7 +566,10 @@ impl Campaign {
                 }
             }
         }
-        CampaignOutcome { threads, cells }
+        CampaignOutcome {
+            threads: ctx.threads,
+            cells,
+        }
     }
 }
 
@@ -698,7 +694,13 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use crate::fault::FaultPlan;
+
+    fn faulted(threads: usize, plan: FaultPlan) -> RunContext {
+        RunContext {
+            faults: Some(Arc::new(plan)),
+            ..RunContext::new(threads)
+        }
+    }
 
     fn tiny_campaign() -> Campaign {
         Campaign::new()
@@ -800,8 +802,9 @@ mod tests {
         .durations(SimDuration::from_millis(100), SimDuration::from_millis(300))
         .seed(0);
         let seeds = [1u64, 2, 3, 4, 5];
-        let serial = run_seeds_parallel(&base, &seeds, 1);
-        let parallel = run_seeds_parallel(&base, &seeds, 4);
+        let jobs: Vec<Scenario> = seeds.iter().map(|&s| base.clone().seed(s)).collect();
+        let serial = expect_all(RunContext::new(1).run(&jobs));
+        let parallel = run_seeds(&base, &seeds);
         assert_eq!(serial.len(), parallel.len());
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.throughput_mbps.to_bits(), b.throughput_mbps.to_bits());
@@ -819,7 +822,7 @@ mod tests {
             4,
         )
         .durations(SimDuration::from_millis(50), SimDuration::from_millis(100));
-        let results = run_scenarios_checked(&[good.clone(), bad, good.clone()], 2);
+        let results = RunContext::new(2).run(&[good.clone(), bad, good.clone()]);
         assert!(results[0].is_ok());
         assert!(matches!(
             results[1],
@@ -832,16 +835,17 @@ mod tests {
         ));
         assert!(results[2].is_ok());
         // The healthy slots are bit-identical to a run without the bad job.
-        let clean = run_scenarios_checked(&[good.clone(), good], 1);
+        let clean = RunContext::new(1).run(&[good.clone(), good]);
         let ok = |r: &Result<ScenarioResult, JobError>| {
             serde_json::to_string(r.as_ref().unwrap()).unwrap()
         };
         assert_eq!(ok(&results[0]), ok(&clean[0]));
         assert_eq!(ok(&results[2]), ok(&clean[1]));
-        // try_run_scenarios folds the same failure into a CampaignError.
+        // collect_checked folds the same failure into a CampaignError.
         let mut bad2 = Scenario::new(Protocol::Standard80211, TopologySpec::FullyConnected, 4);
         bad2.n = 0;
-        let err = try_run_scenarios(&[bad2], 1).expect_err("zero stations must fail");
+        let err =
+            collect_checked(RunContext::new(1).run(&[bad2])).expect_err("zero stations must fail");
         assert_eq!(err.failures.len(), 1);
         assert_eq!(err.failures[0].0, 0);
     }
@@ -859,17 +863,17 @@ mod tests {
                 .seed(seed)
             })
             .collect();
-        let clean: Vec<String> = run_scenarios_checked(&jobs, 1)
+        let clean: Vec<String> = RunContext::new(1)
+            .run(&jobs)
             .into_iter()
             .map(|r| serde_json::to_string(&r.unwrap()).unwrap())
             .collect();
         // Every attempt below the retry budget trips; the final one succeeds.
+        let attempts = RunContext::new(2).attempts;
         let plan = FaultPlan::builder(11)
-            .site(FaultSite::JobPanic, 1.0, Some(max_job_attempts() - 1))
+            .site(FaultSite::JobPanic, 1.0, Some(attempts - 1))
             .build();
-        let _guard = crate::fault::scoped(plan);
-        let faulted = run_scenarios_checked(&jobs, 2);
-        for (r, expect) in faulted.into_iter().zip(&clean) {
+        for (r, expect) in faulted(2, plan).run(&jobs).into_iter().zip(&clean) {
             let r = r.expect("transient faults must be retried through");
             assert_eq!(&serde_json::to_string(&r).unwrap(), expect);
         }
@@ -888,7 +892,8 @@ mod tests {
                 .seed(seed)
             })
             .collect();
-        let clean: Vec<String> = run_scenarios_checked(&jobs, 1)
+        let clean: Vec<String> = RunContext::new(1)
+            .run(&jobs)
             .into_iter()
             .map(|r| serde_json::to_string(&r.unwrap()).unwrap())
             .collect();
@@ -897,16 +902,15 @@ mod tests {
         let plan = FaultPlan::builder(5)
             .site(FaultSite::JobPanic, 0.5, None)
             .build();
-        let attempts = max_job_attempts();
+        let attempts = RunContext::new(2).attempts;
         let expect_fail: Vec<bool> = jobs
             .iter()
             .map(|j| {
                 plan.faults_every_attempt(FaultSite::JobPanic, &crate::cache::job_key(j), attempts)
             })
             .collect();
-        let _guard = crate::fault::scoped(plan);
-        let faulted = run_scenarios_checked(&jobs, 2);
-        for ((r, &fail), expect) in faulted.into_iter().zip(&expect_fail).zip(&clean) {
+        let results = faulted(2, plan).run(&jobs);
+        for ((r, &fail), expect) in results.into_iter().zip(&expect_fail).zip(&clean) {
             match r {
                 Ok(result) => {
                     assert!(!fail, "plan predicted quarantine");
@@ -955,7 +959,11 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("wlan_campaign_cache_test_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = ResultCache::open(&dir).unwrap();
+        let cache = Arc::new(ResultCache::open(&dir).unwrap());
+        let ctx = |threads| RunContext {
+            cache: Some(Arc::clone(&cache)),
+            ..RunContext::new(threads)
+        };
         let base = Scenario::new(
             Protocol::StaticPPersistent { p: 0.04 },
             TopologySpec::FullyConnected,
@@ -964,10 +972,10 @@ mod tests {
         .durations(SimDuration::from_millis(50), SimDuration::from_millis(200));
         let jobs: Vec<Scenario> = (1..=3u64).map(|seed| base.clone().seed(seed)).collect();
 
-        let cold = run_scenarios_cached(&jobs, 2, &cache);
+        let cold = expect_all(ctx(2).run(&jobs));
         assert_eq!(cache.stats().misses, 3);
         assert_eq!(cache.stats().hits, 0);
-        let warm = run_scenarios_cached(&jobs, 2, &cache);
+        let warm = expect_all(ctx(2).run(&jobs));
         assert_eq!(cache.stats().hits, 3, "warm pass must run zero jobs");
         assert_eq!(
             serde_json::to_string(&cold).unwrap(),
@@ -979,13 +987,13 @@ mod tests {
         let key = crate::cache::job_key(&jobs[0]);
         let entry = dir.join(format!("{key}.json"));
         std::fs::write(&entry, "{\"truncated\": tru").unwrap();
-        let healed = run_scenarios_cached(&jobs, 1, &cache);
+        let healed = expect_all(ctx(1).run(&jobs));
         assert_eq!(cache.stats().misses, 4, "corrupt entry counts as a miss");
         assert_eq!(
             serde_json::to_string(&cold).unwrap(),
             serde_json::to_string(&healed).unwrap()
         );
-        let again = run_scenarios_cached(&jobs, 1, &cache);
+        let again = expect_all(ctx(1).run(&jobs));
         assert_eq!(cache.stats().hits, 3 + 2 + 3, "healed entry hits again");
         assert_eq!(
             serde_json::to_string(&cold).unwrap(),
@@ -1009,7 +1017,14 @@ mod tests {
         assert_eq!(attempts_from(Some("0")), 1, "0 retries = 1 attempt");
         assert_eq!(attempts_from(Some("5")), 6);
         assert_eq!(attempts_from(Some("nope")), 1 + DEFAULT_JOB_RETRIES);
-        assert!(max_job_attempts() >= 1);
+        assert_eq!(RunContext::new(1).attempts, attempts_from(None));
+    }
+
+    #[test]
+    fn attempt_budget_saturates_at_the_largest_retry_count() {
+        // 1 + u32::MAX used to wrap to 0 attempts, silently disabling retries.
+        assert_eq!(attempts_from(Some("4294967295")), u32::MAX);
+        assert_eq!(attempts_from(Some("4294967294")), u32::MAX);
     }
 
     #[test]

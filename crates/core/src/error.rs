@@ -71,9 +71,8 @@ impl std::error::Error for ScenarioError {}
 
 /// Why one campaign job produced no result.
 ///
-/// Returned (per job, in input order) by
-/// [`crate::campaign::run_scenarios_checked`]; a `JobError` in one slot
-/// never disturbs the other slots.
+/// Returned (per job, in input order) by [`crate::RunContext::run`]; a
+/// `JobError` in one slot never disturbs the other slots.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobError {
     /// The scenario failed pre-flight validation; the job never ran.

@@ -17,7 +17,9 @@
 //!   metrics), the API used by the examples, integration tests and benches.
 //! * [`campaign`] — the parallel campaign runner: expands a scenario grid into
 //!   jobs, executes them on a thread pool, and aggregates per-cell statistics
-//!   deterministically (parallel output is bit-identical to serial).
+//!   deterministically (parallel output is bit-identical to serial). A
+//!   [`RunContext`] passes the pool its thread count, retry budget, cache and
+//!   fault plan; the library keeps none of them process-wide.
 //! * [`cache`] — the content-addressed result cache: jobs keyed by a stable
 //!   hash of `(canonical scenario, engine fingerprint)`, so reruns compute
 //!   only the delta and serve everything else from disk, bit-identically.
@@ -63,9 +65,8 @@ pub mod wtop;
 
 pub use cache::{job_key, CacheStats, ResultCache, ENGINE_FINGERPRINT};
 pub use campaign::{
-    default_threads, max_job_attempts, run_scenarios, run_scenarios_cached,
-    run_scenarios_cached_checked, run_scenarios_checked, run_seeds, run_seeds_parallel,
-    try_run_scenarios, Campaign, CampaignCell, CampaignOutcome, CampaignReport, CellStats,
+    attempts_from, collect_checked, default_threads, run_seeds, Campaign, CampaignCell,
+    CampaignOutcome, CampaignReport, CellStats, RunContext,
 };
 pub use dynamics::{run_dynamic, DynamicResult, MembershipChange, MembershipSchedule};
 pub use error::{CampaignError, JobError, ScenarioError};

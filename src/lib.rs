@@ -23,7 +23,7 @@
 //!
 //! ```
 //! use wlan_sa::analytic;
-//! use wlan_sa::core::{run_seeds_parallel, Protocol, Scenario, TopologySpec};
+//! use wlan_sa::core::{collect_checked, Protocol, RunContext, Scenario, TopologySpec};
 //! use wlan_sa::sim::SimDuration;
 //!
 //! let n = 10;
@@ -41,13 +41,13 @@
 //! assert!(dcf.throughput_mbps > 0.0 && dcf.throughput_mbps < s_star);
 //!
 //! // wTOP-CSMA: the AP tunes the attempt probability from throughput
-//! // measurements only, with no knowledge of N — here averaged over two
-//! // seeds on the deterministic parallel campaign pool.
+//! // measurements only, with no knowledge of N — here two seeds on two
+//! // workers of the deterministic parallel campaign pool.
 //! let wtop = Scenario::new(Protocol::WTopCsma, TopologySpec::FullyConnected, n)
 //!     .durations(SimDuration::from_millis(500), SimDuration::from_millis(500))
-//!     .update_period(SimDuration::from_millis(50))
-//!     .seed(1);
-//! let results = run_seeds_parallel(&wtop, &[1, 2], 2);
+//!     .update_period(SimDuration::from_millis(50));
+//! let jobs = [wtop.clone().seed(1), wtop.seed(2)];
+//! let results = collect_checked(RunContext::new(2).run(&jobs)).unwrap();
 //! assert_eq!(results.len(), 2);
 //! assert!(results.iter().all(|r| r.throughput_mbps > 0.0));
 //! assert!(!results[0].control_trace.is_empty(), "the AP records its control variable");

@@ -3,10 +3,10 @@
 //! single warning (the first failed store; later failures are counted
 //! silently via [`ResultCache::store_failures`]).
 
-use wlan_sa::core::fault::{self, FaultPlan, FaultSite};
+use std::sync::Arc;
 use wlan_sa::core::{
-    run_scenarios_cached_checked, run_scenarios_checked, Protocol, ResultCache, Scenario,
-    ScenarioResult, TopologySpec,
+    FaultPlan, FaultSite, JobError, Protocol, ResultCache, RunContext, Scenario, ScenarioResult,
+    TopologySpec,
 };
 use wlan_sa::sim::SimDuration;
 
@@ -28,9 +28,7 @@ fn bytes(results: &[ScenarioResult]) -> String {
     serde_json::to_string(&results.to_vec()).expect("serialise results")
 }
 
-fn unwrap_all(
-    results: Vec<Result<ScenarioResult, wlan_sa::core::JobError>>,
-) -> Vec<ScenarioResult> {
+fn unwrap_all(results: Vec<Result<ScenarioResult, JobError>>) -> Vec<ScenarioResult> {
     results
         .into_iter()
         .map(|r| r.expect("cache degradation must never fail a job"))
@@ -41,18 +39,34 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("wlan_degradation_{tag}_{}", std::process::id()))
 }
 
+/// Run `jobs()` on `threads` workers through `cache`.
+fn run_cached(cache: &Arc<ResultCache>, threads: usize) -> Vec<ScenarioResult> {
+    let ctx = RunContext {
+        cache: Some(Arc::clone(cache)),
+        ..RunContext::new(threads)
+    };
+    unwrap_all(ctx.run(&jobs()))
+}
+
+/// A handle on the cache in `dir` that trips `site` on every access.
+fn faulty_cache(dir: &std::path::Path, seed: u64, site: FaultSite) -> Arc<ResultCache> {
+    let plan = FaultPlan::builder(seed).site(site, 1.0, None).build();
+    let cache = ResultCache::open(dir).expect("open temp cache");
+    Arc::new(cache.with_faults(Some(Arc::new(plan))))
+}
+
 /// A cache directory that vanishes mid-campaign (the closest a root-run test
 /// gets to a read-only directory — permission bits don't bind root): every
 /// store fails, the campaign degrades to compute-only, bytes unchanged.
 #[test]
 fn vanished_cache_dir_degrades_to_compute_only() {
-    let reference = unwrap_all(run_scenarios_checked(&jobs(), 1));
+    let reference = unwrap_all(RunContext::new(1).run(&jobs()));
     let dir = temp_dir("vanished");
     let _ = std::fs::remove_dir_all(&dir);
-    let cache = ResultCache::open(&dir).expect("open temp cache");
+    let cache = Arc::new(ResultCache::open(&dir).expect("open temp cache"));
     std::fs::remove_dir_all(&dir).expect("pull the directory out from under the cache");
 
-    let results = unwrap_all(run_scenarios_cached_checked(&jobs(), 2, &cache));
+    let results = run_cached(&cache, 2);
     assert_eq!(
         bytes(&results),
         bytes(&reference),
@@ -65,7 +79,7 @@ fn vanished_cache_dir_degrades_to_compute_only() {
         "every store failed (one warning, the rest counted silently)"
     );
     // The degraded cache keeps working compute-only on a second pass.
-    let again = unwrap_all(run_scenarios_cached_checked(&jobs(), 1, &cache));
+    let again = run_cached(&cache, 1);
     assert_eq!(bytes(&again), bytes(&reference));
     assert_eq!(cache.store_failures(), 6);
 }
@@ -84,56 +98,45 @@ fn cache_open_on_file_path_fails_cleanly() {
 
 /// An injected permanent write fault behaves exactly like the unwritable
 /// directory: compute-only, single-warning degradation, identical bytes —
-/// and clearing the fault heals the cache in place.
+/// and a handle without the fault heals the same directory.
 #[test]
 fn injected_write_fault_degrades_then_heals() {
-    let reference = unwrap_all(run_scenarios_checked(&jobs(), 1));
+    let reference = unwrap_all(RunContext::new(1).run(&jobs()));
     let dir = temp_dir("writefault");
     let _ = std::fs::remove_dir_all(&dir);
-    let cache = ResultCache::open(&dir).expect("open temp cache");
-    {
-        let _guard = fault::scoped(
-            FaultPlan::builder(21)
-                .site(FaultSite::CacheWrite, 1.0, None)
-                .build(),
-        );
-        let results = unwrap_all(run_scenarios_cached_checked(&jobs(), 2, &cache));
-        assert_eq!(bytes(&results), bytes(&reference));
-        assert!(cache.degraded());
-        assert_eq!(cache.store_failures(), 3);
-        assert_eq!(cache.stats().hits, 0, "nothing was ever stored");
-    }
-    // Fault cleared: stores land again and the next pass is served from disk.
-    let healed = unwrap_all(run_scenarios_cached_checked(&jobs(), 1, &cache));
+    let faulty = faulty_cache(&dir, 21, FaultSite::CacheWrite);
+    let results = run_cached(&faulty, 2);
+    assert_eq!(bytes(&results), bytes(&reference));
+    assert!(faulty.degraded());
+    assert_eq!(faulty.store_failures(), 3);
+    assert_eq!(faulty.stats().hits, 0, "nothing was ever stored");
+
+    // Fault-free handle: stores land again and the next pass is served from disk.
+    let cache = Arc::new(ResultCache::open(&dir).expect("reopen temp cache"));
+    let healed = run_cached(&cache, 1);
     assert_eq!(bytes(&healed), bytes(&reference));
-    let warm = unwrap_all(run_scenarios_cached_checked(&jobs(), 1, &cache));
+    let warm = run_cached(&cache, 1);
     assert_eq!(bytes(&warm), bytes(&reference));
     assert_eq!(cache.stats().hits, 3, "healed cache serves from disk");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// An injected permanent read fault turns every lookup into a miss: jobs
-/// recompute (bytes identical), the entries stay intact, and clearing the
-/// fault restores hits.
+/// recompute (bytes identical), the entries stay intact, and a handle
+/// without the fault hits them again.
 #[test]
 fn injected_read_fault_forces_recompute_not_corruption() {
-    let reference = unwrap_all(run_scenarios_checked(&jobs(), 1));
+    let reference = unwrap_all(RunContext::new(1).run(&jobs()));
     let dir = temp_dir("readfault");
     let _ = std::fs::remove_dir_all(&dir);
-    let cache = ResultCache::open(&dir).expect("open temp cache");
-    let cold = unwrap_all(run_scenarios_cached_checked(&jobs(), 2, &cache));
+    let cache = Arc::new(ResultCache::open(&dir).expect("open temp cache"));
+    let cold = run_cached(&cache, 2);
     assert_eq!(bytes(&cold), bytes(&reference));
-    {
-        let _guard = fault::scoped(
-            FaultPlan::builder(22)
-                .site(FaultSite::CacheRead, 1.0, None)
-                .build(),
-        );
-        let blinded = unwrap_all(run_scenarios_cached_checked(&jobs(), 2, &cache));
-        assert_eq!(bytes(&blinded), bytes(&reference));
-        assert_eq!(cache.stats().hits, 0, "a read fault can never hit");
-    }
-    let warm = unwrap_all(run_scenarios_cached_checked(&jobs(), 1, &cache));
+    let blind = faulty_cache(&dir, 22, FaultSite::CacheRead);
+    let blinded = run_cached(&blind, 2);
+    assert_eq!(bytes(&blinded), bytes(&reference));
+    assert_eq!(blind.stats().hits, 0, "a read fault can never hit");
+    let warm = run_cached(&cache, 1);
     assert_eq!(bytes(&warm), bytes(&reference));
     assert_eq!(cache.stats().hits, 3, "entries survived the read faults");
     let _ = std::fs::remove_dir_all(&dir);

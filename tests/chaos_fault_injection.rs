@@ -11,13 +11,15 @@
 //!   ([`FaultPlan::faults_every_attempt`]) with structured errors, and every
 //!   other job's bytes are unaffected;
 //! * cache I/O faults never quarantine anything — the cache degrades to
-//!   compute-only and the results stay byte-identical to uncached runs.
+//!   compute-only and the results stay byte-identical to uncached runs;
+//! * a plan reaches only the runs whose [`RunContext`] carries it: a
+//!   fault-free run overlapping a permanently faulted one is untouched.
 
 use proptest::prelude::*;
-use wlan_sa::core::fault::{self, FaultPlan, FaultSite};
+use std::sync::{Arc, Barrier};
 use wlan_sa::core::{
-    job_key, max_job_attempts, run_scenarios_cached_checked, run_scenarios_checked, JobError,
-    Protocol, ResultCache, Scenario, ScenarioResult, TopologySpec,
+    job_key, Campaign, FaultPlan, FaultSite, JobError, Protocol, ResultCache, RunContext, Scenario,
+    ScenarioResult, TopologySpec,
 };
 use wlan_sa::sim::SimDuration;
 
@@ -71,7 +73,8 @@ fn bytes(r: &ScenarioResult) -> String {
 }
 
 fn baseline(jobs: &[Scenario]) -> Vec<String> {
-    run_scenarios_checked(jobs, 1)
+    RunContext::new(1)
+        .run(jobs)
         .into_iter()
         .map(|r| bytes(&r.expect("fault-free jobs succeed")))
         .collect()
@@ -87,13 +90,13 @@ proptest! {
         quiet_injected_panics();
         let jobs = grid(case);
         let clean = baseline(&jobs);
+        let ctx = RunContext::new(3);
         let plan = FaultPlan::builder(plan_seed)
-            .site(FaultSite::JobPanic, 1.0, Some(max_job_attempts() - 1))
+            .site(FaultSite::JobPanic, 1.0, Some(ctx.attempts - 1))
             .site(FaultSite::WorkerStall, 0.5, None)
             .stall_millis(1)
             .build();
-        let _guard = fault::scoped(plan);
-        let faulted = run_scenarios_checked(&jobs, 3);
+        let faulted = RunContext { faults: Some(Arc::new(plan)), ..ctx }.run(&jobs);
         for (r, expect) in faulted.into_iter().zip(&clean) {
             let r = r.expect("transient faults must be retried through");
             prop_assert_eq!(&bytes(&r), expect);
@@ -111,7 +114,8 @@ proptest! {
         quiet_injected_panics();
         let jobs = grid(case);
         let clean = baseline(&jobs);
-        let attempts = max_job_attempts();
+        let ctx = RunContext::new(3);
+        let attempts = ctx.attempts;
         let plan = FaultPlan::builder(plan_seed)
             .site(FaultSite::JobPanic, rate, None)
             .build();
@@ -119,8 +123,7 @@ proptest! {
             .iter()
             .map(|j| plan.faults_every_attempt(FaultSite::JobPanic, &job_key(j), attempts))
             .collect();
-        let _guard = fault::scoped(plan);
-        let faulted = run_scenarios_checked(&jobs, 3);
+        let faulted = RunContext { faults: Some(Arc::new(plan)), ..ctx }.run(&jobs);
         for ((r, &fail), expect) in faulted.into_iter().zip(&predicted).zip(&clean) {
             match r {
                 Ok(result) => {
@@ -152,28 +155,78 @@ proptest! {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = ResultCache::open(&dir).expect("open temp cache");
-        {
-            let plan = FaultPlan::builder(plan_seed)
-                .site(FaultSite::CacheRead, 0.5, None)
-                .site(FaultSite::CacheWrite, 0.5, None)
-                .build();
-            let _guard = fault::scoped(plan);
-            // Two passes: the second mixes hits (stores that survived) with
-            // recomputes (reads that fault); bytes must never change.
-            for _ in 0..2 {
-                let results = run_scenarios_cached_checked(&jobs, 2, &cache);
-                for (r, expect) in results.into_iter().zip(&clean) {
-                    let r = r.expect("cache faults must never quarantine a job");
-                    prop_assert_eq!(&bytes(&r), expect);
-                }
+        let cached = |plan: Option<FaultPlan>| RunContext {
+            cache: Some(Arc::new(
+                ResultCache::open(&dir)
+                    .expect("open temp cache")
+                    .with_faults(plan.map(Arc::new)),
+            )),
+            ..RunContext::new(2)
+        };
+        let plan = FaultPlan::builder(plan_seed)
+            .site(FaultSite::CacheRead, 0.5, None)
+            .site(FaultSite::CacheWrite, 0.5, None)
+            .build();
+        let faulty = cached(Some(plan));
+        // Two passes: the second mixes hits (stores that survived) with
+        // recomputes (reads that fault); bytes must never change.
+        for _ in 0..2 {
+            let results = faulty.run(&jobs);
+            for (r, expect) in results.into_iter().zip(&clean) {
+                let r = r.expect("cache faults must never quarantine a job");
+                prop_assert_eq!(&bytes(&r), expect);
             }
         }
         // Fault-free warm pass over whatever the cache retained: still identical.
-        let warm = run_scenarios_cached_checked(&jobs, 2, &cache);
+        let warm = cached(None).run(&jobs);
         for (r, expect) in warm.into_iter().zip(&clean) {
             prop_assert_eq!(&bytes(&r.expect("warm pass succeeds")), expect);
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Isolation: thread A runs a campaign under a permanent `job_panic` plan
+/// while thread B runs the same kind of grid with no plan. Barriers make the
+/// two overlap: both start together, and A keeps its plan live until B has
+/// finished. Every one of A's jobs is quarantined; every one of B's is `Ok`
+/// and byte-identical to the serial reference.
+#[test]
+fn overlapping_runs_see_only_their_own_fault_plan() {
+    quiet_injected_panics();
+    let jobs = grid(3);
+    let clean = baseline(&jobs);
+    let (start, done) = (Barrier::new(2), Barrier::new(2));
+    let (faulted, fault_free) = std::thread::scope(|scope| {
+        let a = scope.spawn(|| {
+            let plan = FaultPlan::builder(1)
+                .site(FaultSite::JobPanic, 1.0, None)
+                .build();
+            let campaign = Campaign::new()
+                .protocols(&[Protocol::Standard80211])
+                .topology("fully connected", TopologySpec::FullyConnected)
+                .node_counts(&[4])
+                .seeds(&[1, 2, 3, 4])
+                .context(RunContext {
+                    faults: Some(Arc::new(plan)),
+                    ..RunContext::new(2)
+                });
+            start.wait();
+            let outcome = std::panic::catch_unwind(|| campaign.run());
+            done.wait();
+            outcome.is_err()
+        });
+        let b = scope.spawn(|| {
+            start.wait();
+            let results = RunContext::new(2).run(&jobs);
+            done.wait();
+            results
+        });
+        (a.join().expect("thread A"), b.join().expect("thread B"))
+    });
+    assert!(faulted, "the permanently faulted campaign must fail");
+    for (r, expect) in fault_free.into_iter().zip(&clean) {
+        let r = r.expect("a run without a plan must not see another run's faults");
+        assert_eq!(&bytes(&r), expect);
     }
 }

@@ -5,9 +5,10 @@
 //! `repro_all` acceptance check (`WLAN_THREADS=1` vs `WLAN_THREADS=8`) relies
 //! on, scaled down to test size.
 
+use std::sync::Arc;
 use wlan_sa::core::{
-    run_scenarios_cached, run_seeds_parallel, Campaign, Protocol, ResultCache, Scenario,
-    ScenarioResult, TopologySpec,
+    collect_checked, Campaign, Protocol, ResultCache, RunContext, Scenario, ScenarioResult,
+    TopologySpec,
 };
 use wlan_sa::sim::SimDuration;
 
@@ -70,8 +71,15 @@ fn warm_cache_second_pass_runs_zero_engine_jobs() {
     let jobs = campaign().jobs();
     assert!(!jobs.is_empty());
 
-    let cache = ResultCache::open(&dir).expect("open cache");
-    let cold = run_scenarios_cached(&jobs, 1, &cache);
+    let cache = Arc::new(ResultCache::open(&dir).expect("open cache"));
+    let run = |threads| {
+        let ctx = RunContext {
+            cache: Some(Arc::clone(&cache)),
+            ..RunContext::new(threads)
+        };
+        collect_checked(ctx.run(&jobs)).expect("every job succeeds")
+    };
+    let cold = run(1);
     assert_eq!(
         cache.stats().misses,
         jobs.len() as u64,
@@ -79,7 +87,7 @@ fn warm_cache_second_pass_runs_zero_engine_jobs() {
     );
     assert_eq!(cache.stats().hits, 0);
 
-    let warm = run_scenarios_cached(&jobs, 8, &cache);
+    let warm = run(8);
     assert_eq!(
         cache.stats().hits,
         jobs.len() as u64,
@@ -99,17 +107,18 @@ fn warm_cache_second_pass_runs_zero_engine_jobs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `run_seeds_parallel` is the narrow entry point `run_seeds` is rewired
-/// through; it must match the 1-thread reference for any worker count.
+/// The seed sweep `run_seeds` executes must match the 1-thread reference
+/// for any worker count.
 #[test]
 fn run_seeds_is_thread_count_invariant() {
     let base = Scenario::new(Protocol::ToraCsma, TopologySpec::FullyConnected, 6)
         .durations(SimDuration::from_millis(200), SimDuration::from_millis(300))
         .update_period(SimDuration::from_millis(50));
-    let seeds: Vec<u64> = (1..=6).collect();
-    let reference = run_seeds_parallel(&base, &seeds, 1);
+    let jobs: Vec<Scenario> = (1..=6).map(|seed| base.clone().seed(seed)).collect();
+    let run = |threads| collect_checked(RunContext::new(threads).run(&jobs)).unwrap();
+    let reference = run(1);
     for threads in [2, 3, 8] {
-        let parallel = run_seeds_parallel(&base, &seeds, threads);
+        let parallel = run(threads);
         let a = serde_json::to_string(&reference).unwrap();
         let b = serde_json::to_string(&parallel).unwrap();
         assert_eq!(a, b, "{threads} threads diverged from the serial reference");
