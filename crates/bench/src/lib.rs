@@ -1,7 +1,7 @@
 //! # wlan-bench
 //!
 //! The experiment harness that regenerates every figure and table of the
-//! paper's evaluation, plus criterion performance benches and ablations.
+//! paper's evaluation, plus the engine benchmark and ablations.
 //!
 //! * [`harness`] — run configuration (quick vs full), output files, shared
 //!   throughput-vs-N sweeps.

@@ -231,7 +231,9 @@ fn invalid_jobs_emit_error_lines_not_panics() {
             "{{\"protocol\":\"Standard80211\",\"topology\":\"FullyConnected\",\"n\":4,",
             "\"warp_drive\":1}},",
             "{{\"protocol\":\"Standard80211\",\"topology\":\"FullyConnected\",\"n\":4,",
-            "\"seed\":9,\"warmup\":50000000,\"measure\":100000000}}",
+            "\"seed\":9,\"warmup\":50000000,\"measure\":100000000}},",
+            "{{\"protocol\":{{\"StaticPPersistent\":{{\"p\":2.0}}}},",
+            "\"topology\":\"FullyConnected\",\"n\":4}}",
             "]}}"
         ),
         cache = cache.display().to_string(),
@@ -239,8 +241,8 @@ fn invalid_jobs_emit_error_lines_not_panics() {
     );
     let run = run_server(&input, &[], &[], None);
     assert!(run.status.success(), "job errors are lines, not a crash");
-    assert_eq!(get_u64(&run.summary, "jobs"), 3);
-    assert_eq!(get_u64(&run.summary, "errors"), 2);
+    assert_eq!(get_u64(&run.summary, "jobs"), 4);
+    assert_eq!(get_u64(&run.summary, "errors"), 3);
     assert_eq!(get_u64(&run.summary, "completed"), 1);
 
     assert_eq!(get_u64(&run.lines[0], "job"), 0);
@@ -254,6 +256,13 @@ fn invalid_jobs_emit_error_lines_not_panics() {
     assert!(e1.contains("warp_drive"), "got: {e1}");
     assert_eq!(get_u64(&run.lines[2], "job"), 2);
     assert!(matches!(get(&run.lines[2], "result"), Value::Map(_)));
+    // Out-of-range protocol parameters are caught by validation, not by a
+    // panic in the engine build that every retry would repeat.
+    assert_eq!(get_u64(&run.lines[3], "job"), 3);
+    let Value::Str(e3) = get(&run.lines[3], "error") else {
+        panic!("job 3 must carry an error string")
+    };
+    assert!(e3.starts_with("invalid scenario"), "got: {e3}");
 
     for d in [cache, ckpt] {
         let _ = std::fs::remove_dir_all(&d);

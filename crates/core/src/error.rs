@@ -42,6 +42,22 @@ pub enum ScenarioError {
     /// Warm-up plus measurement time is zero: the run would end at t = 0
     /// with no measured interval at all.
     ZeroDuration,
+    /// The PHY parameters are inconsistent (the message of
+    /// `PhyParams::validate`).
+    InvalidPhy(String),
+    /// A static p-persistent attempt probability outside `[0, 1]` (or NaN).
+    InvalidAttemptProbability(f64),
+    /// A static RandomReset stage `j` outside `[0, m - 1]`.
+    InvalidResetStage {
+        /// The requested reset stage.
+        stage: u8,
+        /// The PHY's maximum backoff stage `m`.
+        max_stage: u8,
+    },
+    /// A static RandomReset probability `p0` outside `[0, 1]` (or NaN).
+    InvalidResetProbability(f64),
+    /// A zero-width throughput bin: the statistics tick would never advance.
+    ZeroThroughputBin,
 }
 
 impl fmt::Display for ScenarioError {
@@ -63,6 +79,18 @@ impl fmt::Display for ScenarioError {
                     "scenario has zero total duration (warmup + measure == 0)"
                 )
             }
+            ScenarioError::InvalidPhy(msg) => write!(f, "invalid PHY parameters: {msg}"),
+            ScenarioError::InvalidAttemptProbability(p) => {
+                write!(f, "attempt probability p must be in [0, 1], got {p}")
+            }
+            ScenarioError::InvalidResetStage { stage, max_stage } => write!(
+                f,
+                "reset stage j must lie in [0, m - 1] (m = {max_stage}), got {stage}"
+            ),
+            ScenarioError::InvalidResetProbability(p0) => {
+                write!(f, "reset probability p0 must be in [0, 1], got {p0}")
+            }
+            ScenarioError::ZeroThroughputBin => write!(f, "throughput bin must be positive"),
         }
     }
 }

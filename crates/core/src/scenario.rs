@@ -179,8 +179,9 @@ impl Scenario {
     /// Pre-flight validation: reject descriptions no simulator can run
     /// (`n == 0`, a weight vector whose length disagrees with `n`,
     /// non-positive or non-finite weights, NaN/negative arrival rates, a
-    /// queue bound of zero frames, a zero total duration) **before** any
-    /// engine state is built.
+    /// queue bound of zero frames, a zero total duration, inconsistent PHY
+    /// parameters, static protocol parameters out of range, a zero-width
+    /// throughput bin) **before** any engine state is built.
     ///
     /// `campaign_server` calls this while parsing job specs, so a bad spec
     /// yields a per-job error line instead of a worker panic; the supervised
@@ -209,6 +210,26 @@ impl Scenario {
             .map_err(ScenarioError::InvalidTraffic)?;
         if self.warmup.is_zero() && self.measure.is_zero() {
             return Err(ScenarioError::ZeroDuration);
+        }
+        // Before the protocol checks: `max_backoff_stage` divides by CWmin.
+        self.phy.validate().map_err(ScenarioError::InvalidPhy)?;
+        match self.protocol {
+            Protocol::StaticPPersistent { p } if !(0.0..=1.0).contains(&p) => {
+                return Err(ScenarioError::InvalidAttemptProbability(p));
+            }
+            Protocol::StaticRandomReset { stage, p0 } => {
+                let max_stage = self.phy.max_backoff_stage();
+                if stage >= max_stage {
+                    return Err(ScenarioError::InvalidResetStage { stage, max_stage });
+                }
+                if !(0.0..=1.0).contains(&p0) {
+                    return Err(ScenarioError::InvalidResetProbability(p0));
+                }
+            }
+            _ => {}
+        }
+        if self.throughput_bin.is_zero() {
+            return Err(ScenarioError::ZeroThroughputBin);
         }
         Ok(())
     }
@@ -688,6 +709,27 @@ mod tests {
             .seed(7)
     }
 
+    /// Pins the byte layout of a wTOP-CSMA cell's checkpoint, whose AP
+    /// state is the controller's. The 802.11 counterpart sits next to
+    /// `CHECKPOINT_VERSION` in `wlan-sim`'s `engine/snapshot.rs`.
+    #[test]
+    fn wtop_checkpoint_layout_is_pinned() {
+        let fnv1a = |bytes: &[u8]| {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+        };
+        let mut sim = short(Protocol::WTopCsma, TopologySpec::FullyConnected, 5).build_simulator();
+        sim.run_for(SimDuration::from_millis(300));
+        let bytes = sim.checkpoint();
+        assert_eq!(
+            (bytes.len(), fnv1a(&bytes)),
+            (6737, 8_921_435_601_779_368_268),
+            "the checkpoint byte layout changed: bump CHECKPOINT_VERSION in wlan-sim, \
+             then update this pin"
+        );
+    }
+
     #[test]
     fn controller_telemetry_is_optional_and_purely_observational() {
         let scenario = short(Protocol::WTopCsma, TopologySpec::FullyConnected, 6);
@@ -960,6 +1002,47 @@ mod tests {
         zero_duration.warmup = SimDuration::ZERO;
         zero_duration.measure = SimDuration::ZERO;
         assert_eq!(zero_duration.validate(), Err(ScenarioError::ZeroDuration));
+
+        let mut zero_cw = good.clone();
+        zero_cw.phy.cw_min = 0;
+        assert!(matches!(
+            zero_cw.validate(),
+            Err(ScenarioError::InvalidPhy(_))
+        ));
+
+        let mut big_p = good.clone();
+        big_p.protocol = Protocol::StaticPPersistent { p: 2.0 };
+        assert_eq!(
+            big_p.validate(),
+            Err(ScenarioError::InvalidAttemptProbability(2.0))
+        );
+
+        // Table I has m = log2(1024 / 8) = 7, so j = 7 is one stage too far.
+        let mut bad_stage = good.clone();
+        bad_stage.protocol = Protocol::StaticRandomReset { stage: 7, p0: 0.5 };
+        assert_eq!(
+            bad_stage.validate(),
+            Err(ScenarioError::InvalidResetStage {
+                stage: 7,
+                max_stage: 7
+            })
+        );
+        bad_stage.protocol = Protocol::StaticRandomReset { stage: 6, p0: 0.5 };
+        assert!(bad_stage.validate().is_ok());
+
+        let mut nan_p0 = good.clone();
+        nan_p0.protocol = Protocol::StaticRandomReset {
+            stage: 0,
+            p0: f64::NAN,
+        };
+        assert!(matches!(
+            nan_p0.validate(),
+            Err(ScenarioError::InvalidResetProbability(p0)) if p0.is_nan()
+        ));
+
+        let mut zero_bin = good.clone();
+        zero_bin.throughput_bin = SimDuration::ZERO;
+        assert_eq!(zero_bin.validate(), Err(ScenarioError::ZeroThroughputBin));
     }
 
     #[test]

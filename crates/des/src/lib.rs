@@ -112,7 +112,7 @@ pub use metrics::{
 };
 pub use queue::{EventQueue, QueueSnapshot, TierId};
 pub use rng::StreamMaster;
-pub use sched::{BinaryHeapScheduler, CalendarQueue, Scheduler};
+pub use sched::{CalendarQueue, Scheduler};
 pub use simulation::{AsAny, Component, ComponentId, Handle, Peers, Simulation, SimulationContext};
 pub use slab::{Slab, SlabSnapshot, SlotId, SlotSnapshot};
 pub use snapshot::{SnapshotError, StateReader, StateWriter};

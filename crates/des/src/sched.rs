@@ -6,10 +6,7 @@
 //! therefore pops the *identical* sequence, which is what lets a golden-trace
 //! suite pin a whole data structure swap to bit-exactness.
 //!
-//! [`BinaryHeapScheduler`] is the reference implementation (a
-//! `std::collections::BinaryHeap` tier, O(log n) per operation) and the
-//! executable specification the production tier is property-tested against.
-//! [`CalendarQueue`] is the production implementation: R. Brown's calendar
+//! [`CalendarQueue`] is the implementation: R. Brown's calendar
 //! queue (CACM 1988), an array of time-bucketed, sorted "days" scanned by a
 //! rotating cursor. With the bucket count tracking the queue size and the
 //! bucket width tracking the mean event spacing, enqueue and dequeue are
@@ -17,8 +14,9 @@
 //! concurrent events resident, where the heap's `log n` sift and its
 //! pointer-chasing layout start to show up in profiles.
 //!
-//! The equivalence of the two implementations over arbitrary operation
-//! interleavings is property-tested at the bottom of this file.
+//! Its equivalence with a `std::collections::BinaryHeap` reference over
+//! arbitrary operation interleavings is property-tested at the bottom of this
+//! file.
 
 use crate::metrics::CalendarStats;
 use crate::time::SimTime;
@@ -45,7 +43,7 @@ pub trait Scheduler<E> {
     }
 }
 
-/// One scheduled entry (shared by both implementations).
+/// One scheduled entry.
 #[derive(Debug, Clone, Copy)]
 struct Entry<E> {
     time: SimTime,
@@ -57,73 +55,6 @@ impl<E> Entry<E> {
     #[inline]
     fn key(&self) -> (SimTime, u64) {
         (self.time, self.seq)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Reference implementation: binary heap
-// ---------------------------------------------------------------------------
-
-/// The reference general-event tier: a `std::collections::BinaryHeap` with
-/// reversed ordering. Kept as the executable specification the calendar queue
-/// is property-tested against; also a fine production choice for small or
-/// bursty workloads where O(log n) is not the bottleneck.
-#[derive(Debug)]
-pub struct BinaryHeapScheduler<E> {
-    heap: std::collections::BinaryHeap<HeapEntry<E>>,
-}
-
-#[derive(Debug)]
-struct HeapEntry<E>(Entry<E>);
-
-impl<E> PartialEq for HeapEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.key() == other.0.key()
-    }
-}
-impl<E> Eq for HeapEntry<E> {}
-impl<E> Ord for HeapEntry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse: BinaryHeap is a max-heap, we pop earliest-first.
-        other.0.key().cmp(&self.0.key())
-    }
-}
-impl<E> PartialOrd for HeapEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Default for BinaryHeapScheduler<E> {
-    fn default() -> Self {
-        BinaryHeapScheduler {
-            heap: std::collections::BinaryHeap::new(),
-        }
-    }
-}
-
-impl<E> BinaryHeapScheduler<E> {
-    /// Create an empty heap scheduler.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl<E> Scheduler<E> for BinaryHeapScheduler<E> {
-    fn schedule(&mut self, time: SimTime, seq: u64, event: E) {
-        self.heap.push(HeapEntry(Entry { time, seq, event }));
-    }
-
-    fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(|e| e.0.key())
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, u64, E)> {
-        self.heap.pop().map(|e| (e.0.time, e.0.seq, e.0.event))
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
     }
 }
 
@@ -559,6 +490,37 @@ impl<E> Scheduler<E> for CalendarQueue<E> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The executable specification the calendar queue is checked against:
+    /// a binary heap popping the earliest `(time, seq)` first. `seq` is
+    /// unique, so the payload never takes part in the ordering.
+    struct BinaryHeapScheduler<E>(BinaryHeap<Reverse<(SimTime, u64, E)>>);
+
+    impl<E: Ord> BinaryHeapScheduler<E> {
+        fn new() -> Self {
+            BinaryHeapScheduler(BinaryHeap::new())
+        }
+    }
+
+    impl<E: Ord> Scheduler<E> for BinaryHeapScheduler<E> {
+        fn schedule(&mut self, time: SimTime, seq: u64, event: E) {
+            self.0.push(Reverse((time, seq, event)));
+        }
+
+        fn peek_key(&mut self) -> Option<(SimTime, u64)> {
+            self.0.peek().map(|Reverse((time, seq, _))| (*time, *seq))
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, u64, E)> {
+            self.0.pop().map(|Reverse(entry)| entry)
+        }
+
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+    }
 
     /// Deterministic xorshift for the non-proptest smoke tests.
     fn xorshift(state: &mut u64) -> u64 {

@@ -108,105 +108,6 @@ pub trait ApAlgorithm: Send {
     }
 }
 
-/// The closed set of AP-side controllers the simulator dispatches statically.
-///
-/// The counterpart of [`Policy`](crate::backoff::Policy) for the access point:
-/// the simulator owns a `Controller` by value instead of a
-/// `Box<dyn ApAlgorithm>`. The stochastic-approximation controllers (wTOP-CSMA,
-/// TORA-CSMA) live in the higher-level `wlan-core` crate and plug in through
-/// [`Controller::Custom`]; the no-op [`NullController`] of every static scheme
-/// — the common case in large sweeps — is dispatched without a vtable.
-pub enum Controller {
-    /// No AP-side control (standard 802.11, IdleSense, static policies).
-    Null(NullController),
-    /// Escape hatch: any other [`ApAlgorithm`], dispatched virtually.
-    Custom(Box<dyn ApAlgorithm>),
-}
-
-impl Controller {
-    /// Wrap an out-of-crate controller in the virtual-dispatch escape hatch.
-    pub fn custom(ap: Box<dyn ApAlgorithm>) -> Self {
-        Controller::Custom(ap)
-    }
-}
-
-impl ApAlgorithm for Controller {
-    fn on_success(&mut self, now: SimTime, source: NodeId, payload_bits: u64) {
-        match self {
-            Controller::Null(c) => c.on_success(now, source, payload_bits),
-            Controller::Custom(c) => c.on_success(now, source, payload_bits),
-        }
-    }
-
-    fn on_collision(&mut self, now: SimTime) {
-        match self {
-            Controller::Null(c) => c.on_collision(now),
-            Controller::Custom(c) => c.on_collision(now),
-        }
-    }
-
-    fn on_beacon(&mut self, now: SimTime) {
-        match self {
-            Controller::Null(c) => c.on_beacon(now),
-            Controller::Custom(c) => c.on_beacon(now),
-        }
-    }
-
-    fn control_payload(&mut self, now: SimTime) -> ControlPayload {
-        match self {
-            Controller::Null(c) => c.control_payload(now),
-            Controller::Custom(c) => c.control_payload(now),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            Controller::Null(c) => c.name(),
-            Controller::Custom(c) => c.name(),
-        }
-    }
-
-    fn control_trace(&self) -> &[(SimTime, f64)] {
-        match self {
-            Controller::Null(c) => c.control_trace(),
-            Controller::Custom(c) => c.control_trace(),
-        }
-    }
-
-    fn telemetry(&self) -> &[(SimTime, ControlEpoch)] {
-        match self {
-            Controller::Null(c) => c.telemetry(),
-            Controller::Custom(c) => c.telemetry(),
-        }
-    }
-
-    fn save_state(&self, writer: &mut StateWriter) {
-        match self {
-            Controller::Null(c) => c.save_state(writer),
-            Controller::Custom(c) => c.save_state(writer),
-        }
-    }
-
-    fn load_state(&mut self, reader: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        match self {
-            Controller::Null(c) => c.load_state(reader),
-            Controller::Custom(c) => c.load_state(reader),
-        }
-    }
-}
-
-impl From<NullController> for Controller {
-    fn from(c: NullController) -> Self {
-        Controller::Null(c)
-    }
-}
-
-impl From<Box<dyn ApAlgorithm>> for Controller {
-    fn from(c: Box<dyn ApAlgorithm>) -> Self {
-        Controller::Custom(c)
-    }
-}
-
 /// The "controller" of standard IEEE 802.11 and of all static policies: does
 /// nothing and advertises no control information.
 #[derive(Debug, Default, Clone)]
@@ -264,27 +165,6 @@ impl ApAlgorithm for NullController {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn controller_enum_forwards_to_variants() {
-        let mut c: Controller = NullController::new().into();
-        c.on_success(SimTime::from_micros(10), 0, 8000);
-        c.on_collision(SimTime::from_micros(20));
-        c.on_beacon(SimTime::from_micros(30));
-        assert!(c.control_payload(SimTime::from_micros(40)).is_none());
-        assert_eq!(c.name(), "null");
-        assert!(c.control_trace().is_empty());
-        match &c {
-            Controller::Null(n) => {
-                assert_eq!(n.successes(), 1);
-                assert_eq!(n.collisions(), 1);
-            }
-            Controller::Custom(_) => panic!("expected the Null variant"),
-        }
-
-        let custom = Controller::custom(Box::new(NullController::new()));
-        assert_eq!(custom.name(), "null");
-    }
 
     #[test]
     fn null_controller_counts_and_stays_silent() {

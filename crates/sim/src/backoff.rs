@@ -77,8 +77,7 @@ pub trait BackoffPolicy: Send {
     /// calls. The engine checks this once per station at build time and skips
     /// the per-busy-period idle-slot accounting (a division on the hot path)
     /// for policies that ignore observations. The default is `true` — safe for
-    /// any external policy; built-in policies that ignore observations
-    /// override it to `false`.
+    /// any policy; policies that ignore observations override it to `false`.
     fn wants_observations(&self) -> bool {
         true
     }
@@ -102,9 +101,9 @@ pub trait BackoffPolicy: Send {
     /// Build-time configuration (window bounds, weights, retry limits) is
     /// reconstructed from the scenario, so only state that evolves during the
     /// run belongs here. The default writes nothing — correct for stateless
-    /// policies; a `Custom` policy with mutable state must override both
-    /// this and [`load_state`](Self::load_state) symmetrically or resumed
-    /// runs will diverge.
+    /// policies; a policy with mutable state must override both this and
+    /// [`load_state`](Self::load_state) symmetrically or resumed runs will
+    /// diverge.
     fn save_state(&self, writer: &mut StateWriter) {
         let _ = writer;
     }
@@ -124,8 +123,7 @@ pub trait BackoffPolicy: Send {
 /// call (and a pointer chase to a separate allocation) on every backoff draw,
 /// outcome notification and control update. This enum stores the concrete
 /// policy inline in the station state and dispatches with a jump table the
-/// optimiser can see through, while [`Policy::Custom`] keeps the trait-object
-/// escape hatch for policies defined outside this crate.
+/// optimiser can see through. A new policy becomes a new variant.
 ///
 /// Construct it with `From`/`Into` from any concrete policy — the
 /// [`SimulatorBuilder`](crate::SimulatorBuilder) accepts `impl Into<Policy>`:
@@ -146,20 +144,11 @@ pub enum Policy {
     FixedWindow(FixedWindow),
     /// The IdleSense adaptive contention window ([`IdleSensePolicy`]).
     IdleSense(IdleSensePolicy),
-    /// Escape hatch: any other [`BackoffPolicy`], dispatched virtually.
-    Custom(Box<dyn BackoffPolicy>),
-}
-
-impl Policy {
-    /// Wrap an out-of-crate policy in the virtual-dispatch escape hatch.
-    pub fn custom(policy: Box<dyn BackoffPolicy>) -> Self {
-        Policy::Custom(policy)
-    }
 }
 
 /// Forward every [`BackoffPolicy`] method to the concrete variant. The match
-/// is resolved per call site; for the closed variants the callee is a direct
-/// (inlinable) call rather than a vtable lookup.
+/// is resolved per call site; the callee is a direct (inlinable) call rather
+/// than a vtable lookup.
 macro_rules! dispatch {
     ($self:ident, $p:pat => $body:expr) => {
         match $self {
@@ -168,7 +157,6 @@ macro_rules! dispatch {
             Policy::RandomReset($p) => $body,
             Policy::FixedWindow($p) => $body,
             Policy::IdleSense($p) => $body,
-            Policy::Custom($p) => $body,
         }
     };
 }
@@ -250,12 +238,6 @@ impl From<FixedWindow> for Policy {
 impl From<IdleSensePolicy> for Policy {
     fn from(p: IdleSensePolicy) -> Self {
         Policy::IdleSense(p)
-    }
-}
-
-impl From<Box<dyn BackoffPolicy>> for Policy {
-    fn from(p: Box<dyn BackoffPolicy>) -> Self {
-        Policy::Custom(p)
     }
 }
 
@@ -1024,13 +1006,6 @@ mod tests {
         assert_eq!(fw.attempt_probability(), Some(2.0 / 17.0));
         let is: Policy = IdleSensePolicy::for_phy(&phy).into();
         assert_eq!(is.name(), "idle-sense");
-
-        // The escape hatch still dispatches virtually.
-        let custom = Policy::custom(Box::new(FixedWindow::new(8)));
-        assert_eq!(custom.name(), "fixed-window");
-        let boxed: Box<dyn BackoffPolicy> = Box::new(PPersistent::new(0.1));
-        let via_box: Policy = boxed.into();
-        assert!(matches!(via_box, Policy::Custom(_)));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use super::arrivals::TrafficSources;
 use super::event::Event;
 use super::station::StationMac;
 use super::{decimate_series, Ctx, EnginePeers, World, AP_ID};
-use crate::ap::{ApAlgorithm, Controller};
+use crate::ap::ApAlgorithm;
 use crate::backoff::BackoffPolicy;
 use crate::control::ControlPayload;
 use crate::phy::PhyParams;
@@ -37,7 +37,7 @@ pub(crate) struct PendingAck {
 /// components on every medium transition the AP perceives.
 pub(crate) struct ApControl {
     /// The control algorithm running at the AP.
-    pub(crate) controller: Controller,
+    pub(crate) controller: Box<dyn ApAlgorithm>,
     /// The ACK the AP has committed to transmit (set at TxEnd on success,
     /// consumed at AckEnd). With a sub-unity SIR capture threshold a second
     /// overlapping success can overwrite it — the displaced sender's ACK is
@@ -61,7 +61,7 @@ pub(crate) struct ApControl {
 
 impl ApControl {
     pub(crate) fn new(
-        controller: Controller,
+        controller: Box<dyn ApAlgorithm>,
         mac: Handle<StationMac>,
         traffic: Handle<TrafficSources>,
     ) -> Self {

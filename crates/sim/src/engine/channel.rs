@@ -15,7 +15,6 @@ use super::arrivals::TrafficSources;
 use super::event::{Event, TxId};
 use super::station::{Phase, StationMac};
 use super::{Ctx, EnginePeers, World, CHANNEL_ID, MAC_ID};
-use crate::ap::ApAlgorithm;
 use crate::backoff::BackoffPolicy;
 use crate::capture::CaptureModel;
 use crate::control::ControlPayload;

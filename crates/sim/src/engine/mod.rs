@@ -40,8 +40,10 @@
 //!   transmitter's precomputed sensing neighbours ([`Topology::neighbors`]),
 //!   in ascending id order, instead of scanning all N stations; ACK events
 //!   walk the sorted active-station list (every station senses the AP).
-//! * **Static dispatch** — stations own a [`Policy`] enum inline and the AP a
-//!   [`Controller`] enum, so the common policies dispatch without vtables.
+//! * **Static dispatch** — stations own a [`Policy`] enum inline, so every
+//!   backoff policy dispatches without a vtable. The AP controller, called
+//!   per reception or beacon rather than per event, is a boxed
+//!   [`ApAlgorithm`].
 //! * **Transmission slab** — in-flight transmissions live in a generational
 //!   free-list slab ([`wlan_des::Slab`]) and are reclaimed as soon as their
 //!   lifecycle ends, so memory is O(concurrent transmissions), not O(run
@@ -68,7 +70,7 @@ mod tests;
 
 pub use telemetry::{EngineMetrics, COMPONENT_NAMES, TIER_NAMES};
 
-use crate::ap::{ApAlgorithm, Controller, NullController};
+use crate::ap::{ApAlgorithm, NullController};
 use crate::backoff::{BackoffPolicy, Policy};
 use crate::capture::CaptureModel;
 use crate::phy::PhyParams;
@@ -149,7 +151,7 @@ pub struct SimulatorBuilder {
     seed: u64,
     weights: Vec<f64>,
     policies: Vec<Option<Policy>>,
-    ap: Controller,
+    ap: Box<dyn ApAlgorithm>,
     throughput_bin: SimDuration,
     throughput_series_cap: usize,
     frame_error_rate: f64,
@@ -169,7 +171,7 @@ impl SimulatorBuilder {
             seed: 0,
             weights: vec![1.0; n],
             policies: (0..n).map(|_| None).collect(),
-            ap: Controller::Null(NullController::new()),
+            ap: Box::new(NullController::new()),
             throughput_bin: SimDuration::from_secs(1),
             throughput_series_cap: 4096,
             frame_error_rate: 0.0,
@@ -187,9 +189,7 @@ impl SimulatorBuilder {
     }
 
     /// Install the same policy constructor on every station. The factory may
-    /// return any concrete policy convertible into [`Policy`] (or a
-    /// `Box<dyn BackoffPolicy>`, which lands in the `Policy::Custom` escape
-    /// hatch and dispatches virtually).
+    /// return any concrete policy convertible into [`Policy`].
     pub fn with_stations<F, P>(mut self, mut factory: F) -> Self
     where
         F: FnMut(NodeId, &PhyParams) -> P,
@@ -215,10 +215,10 @@ impl SimulatorBuilder {
         self
     }
 
-    /// Install the AP-side controller (any concrete controller convertible
-    /// into [`Controller`], or a `Box<dyn ApAlgorithm>` for the escape hatch).
-    pub fn ap_algorithm(mut self, ap: impl Into<Controller>) -> Self {
-        self.ap = ap.into();
+    /// Install the AP-side controller (default: the no-op
+    /// [`NullController`]).
+    pub fn ap_algorithm(mut self, ap: Box<dyn ApAlgorithm>) -> Self {
+        self.ap = ap;
         self
     }
 
@@ -495,7 +495,7 @@ impl Simulator {
 
     /// The AP-side controller (for reading its trace after a run).
     pub fn ap_algorithm(&self) -> &dyn ApAlgorithm {
-        &self.sim.component(self.ap).controller
+        &*self.sim.component(self.ap).controller
     }
 
     /// The attempt probability currently reported by a station's policy, if any.

@@ -199,3 +199,36 @@ impl Simulator {
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::backoff::ExponentialBackoff;
+    use crate::{PhyParams, SimDuration, SimulatorBuilder, Topology};
+
+    /// 64-bit FNV-1a: a stable hash of the checkpoint bytes.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Pins the byte layout of an 802.11 cell's checkpoint (the AP runs the
+    /// default no-op controller). `wlan-core` pins a wTOP-CSMA cell the same
+    /// way. The resume tests encode and decode with the same code on both
+    /// sides, so only a pin catches a layout change made without a version
+    /// bump.
+    #[test]
+    fn checkpoint_layout_is_pinned() {
+        let mut sim = SimulatorBuilder::new(PhyParams::table1(), Topology::fully_connected(5))
+            .seed(3)
+            .with_stations(|_, phy| ExponentialBackoff::new(phy))
+            .build();
+        sim.run_for(SimDuration::from_millis(50));
+        let bytes = sim.checkpoint();
+        assert_eq!(
+            (bytes.len(), fnv1a(&bytes)),
+            (5730, 7_412_894_956_138_562_615),
+            "the checkpoint byte layout changed: bump CHECKPOINT_VERSION, then update this pin"
+        );
+    }
+}

@@ -22,17 +22,16 @@
 //!   ([`backoff::BackoffPolicy`]): standard exponential backoff, p-persistent
 //!   CSMA, the paper's RandomReset(j; p0) scheme, IdleSense, or a fixed
 //!   window. The engine stores policies in the closed [`backoff::Policy`]
-//!   enum and dispatches them statically (with a `Custom` trait-object escape
-//!   hatch for policies defined elsewhere);
-//! * the AP may run a controller ([`ap::ApAlgorithm`], stored as an
-//!   [`ap::Controller`]) that observes successful receptions and piggy-backs
+//!   enum and dispatches them statically;
+//! * the AP may run a controller ([`ap::ApAlgorithm`], stored as a
+//!   `Box<dyn ApAlgorithm>`) that observes successful receptions and piggy-backs
 //!   control variables on every ACK — the hook used by wTOP-CSMA and
 //!   TORA-CSMA (implemented in the `wlan-core` crate).
 //!
 //! The engine is single-threaded and fully deterministic for a given seed.
-//! Every simulator (and everything inside it — custom policies and AP
-//! controllers are `Send` trait objects, the RNG is an owned `ChaCha8Rng`,
-//! and there is no `Rc` or thread-bound interior mutability anywhere) is
+//! Every simulator (and everything inside it — AP controllers are `Send`
+//! trait objects, the RNG is an owned `ChaCha8Rng`, and there is no `Rc` or
+//! thread-bound interior mutability anywhere) is
 //! `Send`, so the campaign layer in `wlan-core` can run many independent
 //! simulations on a thread pool with bit-identical results.
 //!
@@ -90,7 +89,7 @@ pub use wlan_des::snapshot;
 /// [`Simulator::set_profiler`] sink.
 pub use wlan_des::{MetricsReport, ProfileSample};
 
-pub use ap::{ApAlgorithm, ControlEpoch, Controller, NullController};
+pub use ap::{ApAlgorithm, ControlEpoch, NullController};
 pub use backoff::{BackoffPolicy, Policy};
 pub use capture::CaptureModel;
 pub use control::{BusyOutcome, ChannelObservation, ControlPayload};

@@ -10,9 +10,9 @@
 //! |---|---|
 //! | [`sim`] (`wlan-sim`) | discrete-event IEEE 802.11 DCF MAC simulator with hidden-terminal support |
 //! | [`analytic`] (`wlan-analytic`) | Bianchi / p-persistent / RandomReset closed-form models |
-//! | [`sa`] (`stochastic-approx`) | Kiefer–Wolfowitz, Robbins–Monro and SPSA optimisers |
+//! | [`sa`] (`stochastic-approx`) | the two-sided Kiefer–Wolfowitz optimiser and its gain sequences |
 //! | [`core`] (`wlan-core`) | wTOP-CSMA, TORA-CSMA, IdleSense, the scenario + campaign runners |
-//! | `wlan-bench` | one binary per paper figure/table plus criterion benches |
+//! | `wlan-bench` | one binary per paper figure/table, the engine benchmark and the ablation bench |
 //!
 //! ## Quickstart
 //!

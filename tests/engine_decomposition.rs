@@ -42,8 +42,8 @@ fn engine_mod_has_no_event_match() {
 }
 
 /// Each mechanism named by the decomposition keeps its own component file
-/// implementing the kernel's `Component` trait (the ISSUE 6 acceptance
-/// criterion names traffic arrivals and the AP controller explicitly).
+/// implementing the kernel's `Component` trait, traffic arrivals and the AP
+/// controller included.
 #[test]
 fn mechanisms_are_components() {
     for (name, src) in [

@@ -120,21 +120,35 @@ fn equal_weights_give_plain_fairness() {
 fn hidden_nodes_break_idlesense_but_not_the_sa_schemes() {
     // The paper's headline (Figs. 6-7, Table III): with hidden terminals the
     // model-based IdleSense collapses while TORA-CSMA stays near the top and
-    // wTOP-CSMA remains serviceable; TORA beats wTOP.
+    // wTOP-CSMA remains serviceable; TORA beats wTOP and standard 802.11.
+    // (wTOP does not beat 802.11 at this configuration, so that is not
+    // asserted.)
     let n = 25;
     let topo = TopologySpec::UniformDisc { radius: 16.0 };
     let mut results = Vec::new();
-    for proto in [Protocol::IdleSense, Protocol::WTopCsma, Protocol::ToraCsma] {
+    for proto in [
+        Protocol::Standard80211,
+        Protocol::IdleSense,
+        Protocol::WTopCsma,
+        Protocol::ToraCsma,
+    ] {
         let r = Scenario::new(proto, topo.clone(), n)
             .durations(SimDuration::from_secs(50), SimDuration::from_secs(8))
             .seed(11)
             .run();
         results.push(r);
     }
-    let idlesense = &results[0];
-    let wtop = &results[1];
-    let tora = &results[2];
+    let dcf = &results[0];
+    let idlesense = &results[1];
+    let wtop = &results[2];
+    let tora = &results[3];
     assert!(idlesense.hidden_pairs > 0);
+    assert!(
+        tora.throughput_mbps > dcf.throughput_mbps,
+        "TORA {:.2} should beat 802.11 {:.2} with hidden nodes",
+        tora.throughput_mbps,
+        dcf.throughput_mbps
+    );
     assert!(
         tora.throughput_mbps > wtop.throughput_mbps,
         "TORA {:.2} should beat wTOP {:.2} with hidden nodes",
