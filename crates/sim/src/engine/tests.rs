@@ -608,6 +608,111 @@ fn airtime_accounts_every_attempt() {
 }
 
 // ---------------------------------------------------------------------------
+// Pinned runs: engine paths the golden fixtures never reach
+// ---------------------------------------------------------------------------
+
+/// 64-bit FNV-1a of a simulator's serialised statistics.
+fn stats_fnv(sim: &Simulator) -> u64 {
+    let json = serde_json::to_string(&sim.stats()).unwrap();
+    json.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// A large fully connected cell: hundreds of stations resumed by one busy
+/// end, so many-way same-instant ties are routine.
+#[test]
+fn pinned_large_clique() {
+    let run = |policy: fn(&PhyParams) -> Policy| {
+        let mut sim = SimulatorBuilder::new(PhyParams::table1(), Topology::fully_connected(200))
+            .seed(41)
+            .with_stations(|_, phy| policy(phy))
+            .build();
+        sim.run_for(SimDuration::from_millis(500));
+        stats_fnv(&sim)
+    };
+    let dcf = run(|phy| ExponentialBackoff::new(phy).into());
+    let ppersistent = run(|_| PPersistent::new(0.01).into());
+    assert_eq!(
+        (dcf, ppersistent),
+        (7_653_163_674_739_241_581, 5_672_342_214_656_691_867)
+    );
+}
+
+/// Two 6-station cliques bridged by one sensing pair: groups of identical
+/// sensing neighbourhoods next to singletons, plus hidden pairs. Mixed
+/// policies, one of which observes the channel.
+#[test]
+fn pinned_bridged_cliques() {
+    let mut topo = Topology::fully_connected(12);
+    for i in 0..6 {
+        for j in 6..12 {
+            if (i, j) != (5, 6) {
+                topo.set_senses(i, j, false);
+            }
+        }
+    }
+    let mut sim = SimulatorBuilder::new(PhyParams::table1(), topo)
+        .seed(43)
+        .with_stations(|i, phy| -> Policy {
+            match i % 3 {
+                0 => ExponentialBackoff::new(phy).into(),
+                1 => PPersistent::new(0.05).into(),
+                _ => crate::idlesense::IdleSensePolicy::for_phy(phy).into(),
+            }
+        })
+        .build();
+    sim.run_for(SimDuration::from_secs(1));
+    assert_eq!(stats_fnv(&sim), 10_800_291_273_351_714_378);
+}
+
+/// An ACK longer than DIFS - SIFS: a zero-slot countdown resumed at a
+/// `TxEnd` that an ACK follows keeps its timer through the `AckStart`
+/// freeze and fires during the ACK.
+#[test]
+fn pinned_long_ack_zero_slot() {
+    let phy = PhyParams {
+        phy_preamble: SimDuration::from_micros(20),
+        ..PhyParams::table1()
+    };
+    let mut sim = SimulatorBuilder::new(phy, Topology::fully_connected(10))
+        .seed(47)
+        .with_stations(|_, _| PPersistent::new(0.2))
+        .build();
+    sim.run_for(SimDuration::from_secs(1));
+    assert_eq!(stats_fnv(&sim), 6_458_196_128_963_343_243);
+}
+
+/// Stations leave and rejoin between `run_for` slices that end inside busy
+/// periods: mid-frame deactivation, reactivation during a frame or an ACK.
+#[test]
+fn pinned_membership_churn() {
+    let mut topo = Topology::fully_connected(8);
+    topo.set_senses(0, 7, false);
+    let mut sim = SimulatorBuilder::new(PhyParams::table1(), topo)
+        .seed(53)
+        .with_stations(|i, phy| -> Policy {
+            if i % 2 == 0 {
+                ExponentialBackoff::new(phy).into()
+            } else {
+                PPersistent::new(0.1).into()
+            }
+        })
+        .initially_active(6)
+        .build();
+    for k in 0..300u64 {
+        sim.run_for(SimDuration::from_nanos(173_000 + 7_919 * (k % 11)));
+        let node = (k as usize * 5) % 8;
+        if k % 3 == 0 {
+            sim.deactivate_station(node);
+        } else {
+            sim.activate_station(node);
+        }
+    }
+    assert_eq!(stats_fnv(&sim), 723_061_012_014_241_324);
+}
+
+// ---------------------------------------------------------------------------
 // Checkpoint / resume
 // ---------------------------------------------------------------------------
 

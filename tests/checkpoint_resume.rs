@@ -125,29 +125,37 @@ fn checkpoint_during_warmup_preserves_the_pending_measurement_reset() {
 /// essentially always busy, many snapshots necessarily land inside a busy
 /// period (mid-transmission, pending ACK timers, half-elapsed backoffs); the
 /// final result must still match the uninterrupted run byte for byte.
+///
+/// The N = 100 fully connected cells put the snapshots on a frozen
+/// carrier-sense clock shared by a hundred countdowns, on countdowns anchored
+/// off the slot grid, and (wTOP-CSMA) between the backoff redraw at a
+/// `TxEnd` and the one at the following `AckEnd`.
 #[test]
 fn chained_checkpoints_inside_busy_periods_are_byte_identical() {
-    let s = scenario(0, 0, 6, 7, false);
-    let straight = json(&s.run());
-    let end = s.end_time();
-    let step = SimDuration::from_micros(1300);
-    let mut sim = s.build_simulator();
-    let mut snapshots = 0u32;
-    while sim.now() < end {
-        let next = (sim.now() + step).min(end);
-        s.advance_until(&mut sim, next);
-        if sim.now() < end {
-            let snapshot = sim.checkpoint();
-            let mut fresh = s.build_simulator();
-            fresh.resume(&snapshot).expect("chain snapshot must resume");
-            sim = fresh;
-            snapshots += 1;
+    for (proto_idx, n) in [(0, 6), (0, 100), (2, 100)] {
+        let s = scenario(proto_idx, 0, n, 7, false);
+        let straight = json(&s.run());
+        let end = s.end_time();
+        let step = SimDuration::from_micros(1300);
+        let mut sim = s.build_simulator();
+        let mut snapshots = 0u32;
+        while sim.now() < end {
+            let next = (sim.now() + step).min(end);
+            s.advance_until(&mut sim, next);
+            if sim.now() < end {
+                let snapshot = sim.checkpoint();
+                let mut fresh = s.build_simulator();
+                fresh.resume(&snapshot).expect("chain snapshot must resume");
+                sim = fresh;
+                snapshots += 1;
+            }
         }
+        assert!(snapshots > 50, "the chain must actually checkpoint densely");
+        assert_eq!(
+            straight,
+            json(&s.collect(&sim)),
+            "{:?} N={n}: a chain of {snapshots} checkpoint/restore steps diverged from the straight run",
+            protocol(proto_idx)
+        );
     }
-    assert!(snapshots > 50, "the chain must actually checkpoint densely");
-    assert_eq!(
-        straight,
-        json(&s.collect(&sim)),
-        "a chain of {snapshots} checkpoint/restore steps diverged from the straight run"
-    );
 }
