@@ -3,19 +3,21 @@
 //! Runs a scenario grid — fully-connected and hidden-node topologies, all six
 //! [`Protocol`]s — single-threaded, measuring for each cell the wall time,
 //! the engine events processed per wall second, and the achieved simulation
-//! rate (simulated seconds per wall second). Results are written to
-//! `BENCH_engine.json` in the current directory (the repo root in CI),
-//! establishing the repo's wall-clock perf trajectory; every run also
-//! appends a dated one-line summary to `BENCH_history.jsonl` so the
-//! trajectory across PRs is machine-readable.
+//! rate (simulated seconds per wall second), and prints a table. Nothing is
+//! written unless asked: `--out PATH` writes the JSON report (the committed
+//! `BENCH_engine.json` is one, the CI perf gate's baseline) and
+//! `--history PATH` appends a dated one-line summary (the machine-readable
+//! trajectory across changes, `BENCH_history.jsonl`), so running a measurement
+//! never changes a tracked file.
 //!
 //! Grids:
 //!
-//! * `--quick` (default): N ∈ {5, 20, 50, 100} on both topologies, plus one
-//!   large-N smoke cell (Standard 802.11, fully connected, N = 500) — the CI
-//!   perf gate.
+//! * `--quick` (default): N ∈ {5, 20, 50, 100} on both topologies, plus two
+//!   large-N smoke cells (Standard 802.11 and wTOP-CSMA, fully connected,
+//!   N = 500: the freeze/resume path and the per-station redraw path) — the
+//!   CI perf gate, and the grid of the committed `BENCH_engine.json`.
 //! * `--extended`: N ∈ {5, 20, 50, 100, 200, 500, 1000, 2000} — the scaling
-//!   grid the committed `BENCH_engine.json` is generated from.
+//!   grid.
 //! * `--full`: the extended grid with 10 sim-seconds per cell at N ≤ 100
 //!   (large-N cells stay at 2 s; events/sec is a rate and converges quickly).
 //!
@@ -45,8 +47,8 @@
 //! **separate untimed pass** (the timed numbers above are never profiled) and
 //! prints a wall-clock attribution table: per `component/event-kind` handler
 //! and per scheduler operation, the sampled share of wall time with latency
-//! quantiles from a [`wlan_sim::DelayHistogram`]. The table is also written
-//! as JSON (`--profile-out`, default `BENCH_profile.json`).
+//! quantiles from a [`wlan_sim::DelayHistogram`]. `--profile-out PATH` also
+//! writes the table as JSON.
 //!
 //! `--overhead-check` times a few representative cells with telemetry off and
 //! with the full dispatch registry on, interleaved, and exits with status 3
@@ -320,7 +322,7 @@ fn overhead_ratio() -> f64 {
 /// The cell grid for a mode: `(protocol, topology label, topology, n,
 /// sim-seconds, traffic)`, topology-major then N then protocol (the
 /// historical order). Smoke cells are appended at the end: the N = 500
-/// large-N cell in Quick mode only (the extended grids already reach
+/// large-N cells in Quick mode only (the extended grids already reach
 /// N = 2000), the finite-load cell in every mode.
 #[allow(clippy::type_complexity)]
 fn cells_for(
@@ -373,17 +375,21 @@ fn cells_for(
         }
     }
     if mode == Mode::Quick {
-        // The CI perf gate's large-N smoke cell: plain 802.11, fully
-        // connected, N = 500 — cheap enough for every PR, big enough that an
-        // O(N) regression in the per-busy-period loops is unmissable.
-        cells.push((
-            Protocol::Standard80211,
-            "fully_connected",
-            TopologySpec::FullyConnected,
-            500,
-            2,
-            TrafficSpec::saturated(),
-        ));
+        // The CI perf gate's large-N smoke cells, fully connected, N = 500 —
+        // cheap enough for every CI run, big enough that an O(N) regression in
+        // the per-busy-period paths is unmissable: plain 802.11 (freeze and
+        // resume of one shared countdown clock) and wTOP-CSMA (a backoff
+        // redraw per contending station at every busy end).
+        for proto in [Protocol::Standard80211, Protocol::WTopCsma] {
+            cells.push((
+                proto,
+                "fully_connected",
+                TopologySpec::FullyConnected,
+                500,
+                2,
+                TrafficSpec::saturated(),
+            ));
+        }
     }
     // The finite-load smoke cell (every mode, so the committed extended
     // report gates it too): Poisson offered load at ~75% of capacity over
@@ -472,20 +478,17 @@ fn main() {
             .and_then(|i| args.get(i + 1))
             .cloned()
     };
-    let out_path = arg_value("--out").unwrap_or_else(|| "BENCH_engine.json".to_string());
-    let history_path = arg_value("--history").unwrap_or_else(|| "BENCH_history.jsonl".to_string());
+    // Outputs are opt-in: each is written only where its flag names a file.
+    let out_path = arg_value("--out");
+    let history_path = arg_value("--history");
     let check_path = arg_value("--check");
     // Development aid: `--only SUBSTR` restricts the grid to matching cells
     // (substring of "protocol:topology:n") — handy under a profiler. A
-    // filtered run never represents the grid, so unless `--out` names a file
-    // explicitly it writes no report and never appends to the history (a
-    // stray profiling run must not clobber the committed baseline or pollute
-    // the perf trajectory).
+    // filtered run never represents the grid, so it never appends to the
+    // history (its aggregates describe a hand-picked cell subset).
     let only = arg_value("--only");
-    let out_explicit = args.iter().any(|a| a == "--out");
     let profile = args.iter().any(|a| a == "--profile");
-    let profile_out =
-        arg_value("--profile-out").unwrap_or_else(|| "BENCH_profile.json".to_string());
+    let profile_out = arg_value("--profile-out");
     let overhead_check = args.iter().any(|a| a == "--overhead-check");
 
     let baseline: Baseline = serde_json::from_str(BASELINE_JSON).expect("parse embedded baseline");
@@ -583,47 +586,47 @@ fn main() {
         geomean_speedup,
         key_cell_speedup
     );
-    if only.is_none() || out_explicit {
+    if let Some(path) = &out_path {
         std::fs::write(
-            &out_path,
+            path,
             serde_json::to_string_pretty(&report).expect("serialise report") + "\n",
         )
         .expect("write report");
-        println!("  wrote {out_path}");
-    } else {
-        println!("  --only run: no report written (pass --out to force)");
+        println!("  wrote {path}");
     }
 
     // Dated history line: the machine-readable perf trajectory across PRs.
-    // Filtered (`--only`) runs are excluded: their aggregates describe a
-    // hand-picked cell subset, not the grid the trajectory tracks.
-    let unix_time = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let entry = HistoryEntry {
-        date: utc_date(unix_time),
-        unix_time,
-        mode: report.mode.clone(),
-        calibration_mops: calibration,
-        geomean_events_per_sec: geomean_eps,
-        geomean_events_per_mop: geomean_eps / calibration,
-        key_cell_events_per_sec: key_cell_eps,
-        n1000_cell_events_per_sec: n1000_cell_eps,
-        cell_count: report.cells.len(),
-        engine_fingerprint: wlan_core::ENGINE_FINGERPRINT.to_string(),
-        git_commit: git_short_sha(),
-    };
-    if only.is_none() {
-        let line = serde_json::to_string(&entry).expect("serialise history entry") + "\n";
-        use std::io::Write as _;
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&history_path)
-            .and_then(|mut f| f.write_all(line.as_bytes()))
-            .expect("append history entry");
-        println!("  appended {history_path}");
+    match (&history_path, &only) {
+        (Some(path), None) => {
+            let unix_time = std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .map(|d| d.as_secs())
+                .unwrap_or(0);
+            let entry = HistoryEntry {
+                date: utc_date(unix_time),
+                unix_time,
+                mode: report.mode.clone(),
+                calibration_mops: calibration,
+                geomean_events_per_sec: geomean_eps,
+                geomean_events_per_mop: geomean_eps / calibration,
+                key_cell_events_per_sec: key_cell_eps,
+                n1000_cell_events_per_sec: n1000_cell_eps,
+                cell_count: report.cells.len(),
+                engine_fingerprint: wlan_core::ENGINE_FINGERPRINT.to_string(),
+                git_commit: git_short_sha(),
+            };
+            let line = serde_json::to_string(&entry).expect("serialise history entry") + "\n";
+            use std::io::Write as _;
+            std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(path)
+                .and_then(|mut f| f.write_all(line.as_bytes()))
+                .expect("append history entry");
+            println!("  appended {path}");
+        }
+        (Some(_), Some(_)) => println!("  --only run: no history line appended"),
+        (None, _) => {}
     }
 
     if let Some(path) = check_path {
@@ -688,18 +691,20 @@ fn main() {
                 row.p99_nanos
             );
         }
-        let doc = ProfileReport {
-            mode: mode.label().to_string(),
-            sample_every: SAMPLE_EVERY,
-            profile_sim_seconds: profile_secs,
-            rows,
-        };
-        std::fs::write(
-            &profile_out,
-            serde_json::to_string_pretty(&doc).expect("serialise profile") + "\n",
-        )
-        .expect("write profile");
-        println!("  wrote {profile_out}");
+        if let Some(path) = &profile_out {
+            let doc = ProfileReport {
+                mode: mode.label().to_string(),
+                sample_every: SAMPLE_EVERY,
+                profile_sim_seconds: profile_secs,
+                rows,
+            };
+            std::fs::write(
+                path,
+                serde_json::to_string_pretty(&doc).expect("serialise profile") + "\n",
+            )
+            .expect("write profile");
+            println!("  wrote {path}");
+        }
     }
 
     if overhead_check {

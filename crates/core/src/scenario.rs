@@ -724,7 +724,7 @@ mod tests {
         let bytes = sim.checkpoint();
         assert_eq!(
             (bytes.len(), fnv1a(&bytes)),
-            (6737, 8_921_435_601_779_368_268),
+            (6791, 18_032_547_140_793_778_735),
             "the checkpoint byte layout changed: bump CHECKPOINT_VERSION in wlan-sim, \
              then update this pin"
         );

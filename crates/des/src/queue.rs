@@ -76,12 +76,12 @@ enum MinState {
 /// An unordered set of at-most-one-timer-per-index with O(1) arm/cancel and
 /// a lazily recomputed cached minimum.
 ///
-/// Cancel-and-rearm churn dominates the intended workload (a busy period
-/// cancels and a busy end re-arms every frozen timer, while only one timer
-/// per round actually fires), so the set optimises for churn (push /
-/// swap-remove, no ordering maintained) and pays a linear scan only when the
-/// cached minimum is invalidated — at most once per extraction or
-/// min-cancellation, amortised over each burst of arms and cancels.
+/// Arm/cancel churn is the intended workload (timers that a state change
+/// makes moot are cancelled and re-armed far more often than they fire), so
+/// the set optimises for churn (push / swap-remove, no ordering maintained)
+/// and pays a linear scan only when the cached minimum is invalidated — at
+/// most once per extraction or min-cancellation, amortised over each burst
+/// of arms and cancels.
 #[derive(Debug, Default)]
 struct TimerSet {
     armed: Vec<Timer>,
@@ -296,6 +296,38 @@ impl<E> EventQueue<E> {
     pub fn arm_timer(&mut self, tier: TierId, index: usize, gen: u64, time: SimTime) {
         let seq = self.next_seq;
         self.next_seq += 1;
+        self.counters.timer_arms += 1;
+        let tier = &mut self.tiers[tier.0];
+        tier.counters.arms += 1;
+        tier.set.arm(Timer {
+            time,
+            seq,
+            index,
+            gen,
+        });
+    }
+
+    /// Reserve a block of `n` consecutive sequence numbers and return the
+    /// first. A model that notifies many entities in one step can then arm
+    /// each entity's timer at `base + rank` with
+    /// [`arm_timer_at`](Self::arm_timer_at), whenever it actually needs the
+    /// timer, and still tie-break exactly as if every timer had been armed
+    /// in rank order during that step.
+    #[inline]
+    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
+        let base = self.next_seq;
+        self.next_seq += n;
+        base
+    }
+
+    /// Arm `index`'s timer in `tier` at `time` with an explicit sequence
+    /// number previously handed out by the shared counter (through
+    /// [`reserve_seqs`](Self::reserve_seqs), or by an earlier arm of a timer
+    /// the model is re-arming at its original position in the total order).
+    /// Draws nothing from the counter. The index must not already be armed.
+    #[inline]
+    pub fn arm_timer_at(&mut self, tier: TierId, index: usize, gen: u64, time: SimTime, seq: u64) {
+        debug_assert!(seq < self.next_seq, "sequence number not yet handed out");
         self.counters.timer_arms += 1;
         let tier = &mut self.tiers[tier.0];
         tier.counters.arms += 1;
@@ -601,6 +633,31 @@ mod tests {
             q.pop().unwrap(),
             (SimTime::from_micros(9), 0, Ev::Timer { index: 2, gen: 2 })
         );
+    }
+
+    #[test]
+    fn reserved_seqs_tie_break_like_in_order_arms() {
+        let (mut q, timers, _) = two_tier_queue();
+        let t = SimTime::from_micros(7);
+        // A block of four: only ranks 3 and 1 arm, and in reverse order.
+        let base = q.reserve_seqs(4);
+        q.schedule(t, 9, Ev::Tick); // drawn after the block
+        q.arm_timer_at(timers, 3, 0, t, base + 3);
+        q.arm_timer_at(timers, 1, 0, t, base + 1);
+        assert_eq!(q.pop().unwrap().2, Ev::Timer { index: 1, gen: 0 });
+        assert_eq!(q.pop().unwrap().2, Ev::Timer { index: 3, gen: 0 });
+        assert_eq!(q.pop().unwrap(), (t, 9, Ev::Tick));
+        // A timer cancelled and re-armed at its original seq keeps its place
+        // ahead of later arms at the same instant.
+        let first = q.reserve_seqs(1);
+        q.arm_timer(timers, 5, 0, t);
+        q.arm_timer_at(timers, 4, 0, t, first);
+        q.cancel_timer(timers, 4);
+        q.arm_timer_at(timers, 4, 0, t, first);
+        assert_eq!(q.pop().unwrap().2, Ev::Timer { index: 4, gen: 0 });
+        assert_eq!(q.pop().unwrap().2, Ev::Timer { index: 5, gen: 0 });
+        let c = q.counters();
+        assert_eq!(c.pushes(), c.pops() + c.timer_cancels);
     }
 
     #[test]

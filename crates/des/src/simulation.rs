@@ -211,6 +211,20 @@ impl<E> SimulationContext<'_, E> {
         self.queue.arm_timer(tier, index, gen, time);
     }
 
+    /// Reserve `n` consecutive sequence numbers (see
+    /// [`EventQueue::reserve_seqs`]).
+    #[inline]
+    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
+        self.queue.reserve_seqs(n)
+    }
+
+    /// Arm indexed timer `index` in `tier` at `time` with an already handed
+    /// out sequence number `seq` (see [`EventQueue::arm_timer_at`]).
+    #[inline]
+    pub fn arm_timer_at(&mut self, tier: TierId, index: usize, gen: u64, time: SimTime, seq: u64) {
+        self.queue.arm_timer_at(tier, index, gen, time, seq);
+    }
+
     /// Physically cancel indexed timer `index` in `tier`; the index is the
     /// cancellation token, and a cancelled timer never fires. No-op if not
     /// armed.

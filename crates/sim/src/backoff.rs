@@ -37,6 +37,15 @@ pub trait BackoffPolicy: Send {
     /// [`on_failure`](Self::on_failure).
     fn next_backoff(&mut self, rng: &mut dyn RngCore) -> u64;
 
+    /// Draw a backoff exactly as [`next_backoff`](Self::next_backoff) would
+    /// — consuming the same randomness — but report only whether it is zero.
+    /// The engine calls this where any non-zero count is certain to be
+    /// redrawn before it is used; a policy may override it to skip work that
+    /// only a non-zero count needs.
+    fn next_backoff_is_zero(&mut self, rng: &mut dyn RngCore) -> bool {
+        self.next_backoff(rng) == 0
+    }
+
     /// The station's transmission was acknowledged by the AP.
     fn on_success(&mut self, rng: &mut dyn RngCore);
 
@@ -166,6 +175,10 @@ impl BackoffPolicy for Policy {
         dispatch!(self, p => p.next_backoff(rng))
     }
 
+    fn next_backoff_is_zero(&mut self, rng: &mut dyn RngCore) -> bool {
+        dispatch!(self, p => p.next_backoff_is_zero(rng))
+    }
+
     fn on_success(&mut self, rng: &mut dyn RngCore) {
         dispatch!(self, p => p.on_success(rng))
     }
@@ -266,12 +279,44 @@ fn geometric_slots(p: f64, ln_q: f64, rng: &mut dyn RngCore) -> u64 {
         // "Never transmit": represent as an effectively infinite backoff.
         return u64::MAX / 2;
     }
-    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+    geometric_from_uniform(rng.gen_range(f64::MIN_POSITIVE..1.0), ln_q)
+}
+
+/// The inverse-transform step of [`geometric_slots`] for one uniform draw.
+fn geometric_from_uniform(u: f64, ln_q: f64) -> u64 {
     let k = (u.ln() / ln_q).floor();
     if k.is_finite() && k >= 0.0 {
         k as u64
     } else {
         0
+    }
+}
+
+/// Whether [`geometric_slots`] returns zero, consuming the same randomness.
+fn geometric_is_zero(p: f64, ln_q: f64, rng: &mut dyn RngCore) -> bool {
+    if p >= 1.0 {
+        return true;
+    }
+    if p <= 0.0 {
+        return false;
+    }
+    geometric_is_zero_from_uniform(rng.gen_range(f64::MIN_POSITIVE..1.0), 1.0 - p, ln_q)
+}
+
+/// Whether `geometric_from_uniform(u, ln_q)` is zero, for `ln_q = q.ln()`,
+/// without the `ln` unless `u` lies within 1e-9 (relative) of `q`. Below
+/// that band `ln(u) < ln(q)` by far more than the rounding error of either
+/// logarithm, so the quotient exceeds 1 (a non-zero count) — unless `q`
+/// rounded to 1 and `ln_q` is zero, where the quotient is infinite and the
+/// count zero; above the band the quotient is below 1 (zero).
+fn geometric_is_zero_from_uniform(u: f64, q: f64, ln_q: f64) -> bool {
+    const BAND: f64 = 1e-9;
+    if u < q * (1.0 - BAND) && ln_q < 0.0 {
+        false
+    } else if u > q * (1.0 + BAND) {
+        true
+    } else {
+        geometric_from_uniform(u, ln_q) == 0
     }
 }
 
@@ -481,6 +526,10 @@ impl PPersistent {
 impl BackoffPolicy for PPersistent {
     fn next_backoff(&mut self, rng: &mut dyn RngCore) -> u64 {
         geometric_slots(self.p, self.ln_q, rng)
+    }
+
+    fn next_backoff_is_zero(&mut self, rng: &mut dyn RngCore) -> bool {
+        geometric_is_zero(self.p, self.ln_q, rng)
     }
 
     fn on_success(&mut self, _rng: &mut dyn RngCore) {}
@@ -726,6 +775,44 @@ mod tests {
 
     fn rng() -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(42)
+    }
+
+    #[test]
+    fn geometric_zero_check_matches_the_full_draw() {
+        // Same stream position afterwards, same zero/non-zero answer.
+        for p in [1e-18, 1e-4, 0.01, 0.2, 0.5, 0.9, 0.999_999, 0.0, 1.0] {
+            let mut full = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+            let mut quick = full.clone();
+            let mut policy = PPersistent::new(p);
+            for _ in 0..2000 {
+                let zero = policy.next_backoff(&mut full) == 0;
+                assert_eq!(policy.next_backoff_is_zero(&mut quick), zero, "p={p}");
+            }
+            assert_eq!(full.next_u64(), quick.next_u64(), "p={p}: stream drifted");
+        }
+        // Uniform draws straddling the threshold q = 1 - p, down to adjacent
+        // floats, where the check falls back to the exact quotient.
+        for p in [1e-3, 0.05, 0.3] {
+            let q: f64 = 1.0 - p;
+            let ln_q = q.ln();
+            let mut us = vec![q, q.next_up(), q.next_down()];
+            for k in 1..20 {
+                let d = 1e-10 * k as f64;
+                us.extend([
+                    q * (1.0 - d),
+                    q * (1.0 + d),
+                    q * (1.0 - 10.0 * d),
+                    q * (1.0 + 10.0 * d),
+                ]);
+            }
+            for u in us {
+                assert_eq!(
+                    geometric_is_zero_from_uniform(u, q, ln_q),
+                    geometric_from_uniform(u, ln_q) == 0,
+                    "p={p} u={u}"
+                );
+            }
+        }
     }
 
     #[test]

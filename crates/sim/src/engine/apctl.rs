@@ -15,7 +15,6 @@ use super::event::Event;
 use super::station::StationMac;
 use super::{decimate_series, Ctx, EnginePeers, World, AP_ID};
 use crate::ap::ApAlgorithm;
-use crate::backoff::BackoffPolicy;
 use crate::control::ControlPayload;
 use crate::phy::PhyParams;
 use crate::stats::{SimStats, ThroughputSample};
@@ -221,15 +220,7 @@ impl ApControl {
         // beacon-frame variant; beacon airtime is neglected).
         self.controller.on_beacon(now);
         let payload = self.controller.control_payload(now);
-        if !payload.is_none() {
-            let mac = peers.get_mut(self.mac);
-            let StationMac {
-                stations, active, ..
-            } = &mut *mac;
-            for &node in active.iter() {
-                stations.policy[node].on_control(&payload);
-            }
-        }
+        peers.get_mut(self.mac).broadcast_control(&payload);
 
         ctx.schedule(now + world.throughput_bin, AP_ID, Event::StatsTick);
     }

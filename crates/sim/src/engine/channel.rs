@@ -13,14 +13,13 @@
 use super::apctl::{ApControl, PendingAck};
 use super::arrivals::TrafficSources;
 use super::event::{Event, TxId};
-use super::station::{Phase, StationMac};
+use super::station::StationMac;
 use super::{Ctx, EnginePeers, World, CHANNEL_ID, MAC_ID};
-use crate::backoff::BackoffPolicy;
 use crate::capture::CaptureModel;
 use crate::control::ControlPayload;
 use crate::time::SimTime;
 use crate::topology::NodeId;
-use rand::{Rng, RngCore};
+use rand::Rng;
 use wlan_des::snapshot::{SnapshotError, StateReader, StateWriter};
 use wlan_des::{Component, Handle, Slab, SlabSnapshot, SlotId, SlotSnapshot};
 
@@ -194,29 +193,26 @@ impl Channel {
         }
         let ack_follows = !reception_failed;
 
-        // Sensing stations see the medium go (possibly) idle again. When an ACK
-        // follows, the AP is guaranteed to re-freeze every one of them at
+        // The classes that sense the transmitter see the medium go (possibly)
+        // idle again. When an ACK follows, the AP re-freezes every class at
         // now + SIFS — strictly before any countdown expiring at or after
-        // now + DIFS — so their TxStart events would be invalidated unread;
-        // `Stations::busy_end` elides those arms entirely (see its doc comment).
+        // now + DIFS + slot — so those timers are elided (see
+        // `StationMac::medium_idle`).
         {
             let mac = peers.get_mut(self.mac);
-            let tier = mac.tier;
-            for &other in world.topology.neighbors(source) {
-                mac.stations
-                    .busy_end(&world.phy, ctx, tier, now, other, ack_follows);
-            }
+            let class = mac.class_of(source);
+            let provisional = ack_follows && !world.ack_can_be_lost;
+            mac.medium_idle(
+                &world.phy,
+                ctx,
+                Some(class),
+                source,
+                ack_follows,
+                provisional,
+            );
 
             // The transmitter itself starts listening for the ACK.
-            if mac.stations.is_active(source) {
-                let timeout = world.phy.ack_timeout();
-                let h = &mut mac.stations.hot[source];
-                h.phase = Phase::AwaitingAck;
-                if h.sensed_busy == 0 {
-                    h.idle_since = now;
-                }
-                h.ack_gen += 1;
-                let gen = h.ack_gen;
+            if let Some(gen) = mac.await_ack(&world.phy, ctx, source) {
                 // On the success path the timeout (usually) could never take
                 // effect: the AckEnd (at now + SIFS + ACK airtime) either
                 // delivers the ACK and bumps `ack_gen`, or the station left
@@ -230,7 +226,7 @@ impl Channel {
                 // would be stranded in `AwaitingAck` forever.
                 if reception_failed || world.ack_can_be_lost {
                     ctx.schedule(
-                        now + timeout,
+                        now + world.phy.ack_timeout(),
                         MAC_ID,
                         Event::AckTimeout {
                             station: source,
@@ -283,21 +279,12 @@ impl Channel {
         let end = now + world.phy.ack_airtime();
         ctx.schedule(end, CHANNEL_ID, Event::AckEnd { tx });
 
-        // Every active station senses the AP.
+        // Every station senses the AP; the acknowledged station does not
+        // count the ACK of its own frame.
         let tx_source = self.txs.get(tx).source;
-        {
-            let mac = peers.get_mut(self.mac);
-            let tier = mac.tier;
-            let StationMac {
-                stations, active, ..
-            } = &mut *mac;
-            for &node in active.iter() {
-                if node != tx_source {
-                    // Stations on the active list are active by construction.
-                    stations.hot[node].busy_start(&world.phy, ctx, tier, now, node, false);
-                }
-            }
-        }
+        peers
+            .get_mut(self.mac)
+            .medium_busy(&world.phy, ctx, None, tx_source, false);
         peers
             .get_mut(self.ap)
             .channel_busy_start(&world.phy, &mut world.stats, now, false);
@@ -322,45 +309,18 @@ impl Channel {
 
         let delivered = {
             let mac = peers.get_mut(self.mac);
-            let tier = mac.tier;
-            {
-                let StationMac {
-                    stations, active, ..
-                } = &mut *mac;
-                for &node in active.iter() {
-                    if node != ended.source {
-                        stations.busy_end(&world.phy, ctx, tier, now, node, false);
-                    }
-                }
-
-                // Every station overhears the control payload carried by the ACK
-                // (`active` is exactly the active set, in ascending id order).
-                if !payload.is_none() {
-                    for &node in active.iter() {
-                        stations.policy[node].on_control(&payload);
-                    }
-                }
-            }
-
+            mac.medium_idle(&world.phy, ctx, None, ended.source, false, false);
+            // Every station overhears the control payload carried by the ACK.
+            mac.broadcast_control(&payload);
             // Deliver the ACK to its addressee.
-            if mac.stations.hot[dest].phase == Phase::AwaitingAck {
-                let payload_bits = ended.payload_bits;
-                world.stats.nodes[dest].successes += 1;
-                world.stats.nodes[dest].payload_bits_delivered += payload_bits;
-                world.bin_bits += payload_bits;
-                let st = &mut mac.stations;
-                st.hot[dest].ack_gen += 1; // cancel the pending timeout
-                let rng: &mut dyn RngCore = &mut st.rng[dest];
-                st.policy[dest].on_success(rng);
-                let h = &mut st.hot[dest];
-                if h.sensed_busy == 0 {
-                    h.idle_since = now;
-                }
-                true
-            } else {
-                false
-            }
+            mac.deliver_ack(ctx, dest)
         };
+        if delivered {
+            let payload_bits = ended.payload_bits;
+            world.stats.nodes[dest].successes += 1;
+            world.stats.nodes[dest].payload_bits_delivered += payload_bits;
+            world.bin_bits += payload_bits;
+        }
         if delivered {
             // Finite load: the delivered frame leaves the queue here (the
             // head stays queued across retries), closing its delay clock —

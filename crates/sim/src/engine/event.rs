@@ -12,8 +12,9 @@
 //!
 //! Two event kinds live in indexed timer tiers rather than the general
 //! calendar queue (see the kernel's queue docs for why): backoff timers
-//! (`TxStart` — at most one pending per station, cancelled by naming the
-//! station on every carrier-sense freeze) and frame arrivals
+//! (`TxStart` — at most one pending per station, held only by the stations
+//! whose countdown can fire next, cancelled by naming the station) and frame
+//! arrivals
 //! (`FrameArrival` — at most one pending per station, cancelled on
 //! deactivation). In saturated runs the arrival tier stays empty and the pop
 //! order is untouched.
@@ -28,9 +29,9 @@ pub(crate) type TxId = wlan_des::SlotId;
 /// Kinds of events processed by the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Event {
-    /// A station's backoff counter is due to reach zero and the station transmits.
-    /// `gen` lazily invalidates timers that were frozen by carrier sensing.
-    TxStart { station: NodeId, gen: u64 },
+    /// A station's backoff counter reaches zero and the station transmits.
+    /// Only valid countdowns hold a timer: a freeze cancels it physically.
+    TxStart { station: NodeId },
     /// A data transmission ends.
     TxEnd { tx: TxId },
     /// The AP starts transmitting the ACK for transmission `tx`.
@@ -70,10 +71,9 @@ impl Event {
     /// their tier constructors instead).
     pub(crate) fn save(&self, writer: &mut StateWriter) {
         match *self {
-            Event::TxStart { station, gen } => {
+            Event::TxStart { station } => {
                 writer.put_u8(0);
                 writer.put_usize(station);
-                writer.put_u64(gen);
             }
             Event::TxEnd { tx } => {
                 writer.put_u8(1);
@@ -105,7 +105,6 @@ impl Event {
         Ok(match reader.get_u8()? {
             0 => Event::TxStart {
                 station: reader.get_usize()?,
-                gen: reader.get_u64()?,
             },
             1 => Event::TxEnd {
                 tx: get_tx(reader)?,
@@ -141,9 +140,10 @@ fn get_tx(reader: &mut StateReader<'_>) -> Result<TxId, SnapshotError> {
 }
 
 /// Timer-tier constructor for the backoff tier: a fired timer at `station`
-/// with arming generation `gen` becomes that station's `TxStart`.
-pub(crate) fn make_tx_start(station: usize, gen: u64) -> Event {
-    Event::TxStart { station, gen }
+/// becomes that station's `TxStart` (the generation is unused — backoff
+/// timers are cancelled physically, never lazily).
+pub(crate) fn make_tx_start(station: usize, _gen: u64) -> Event {
+    Event::TxStart { station }
 }
 
 /// Timer-tier constructor for the arrival tier (the generation is unused —

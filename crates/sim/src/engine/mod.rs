@@ -6,8 +6,9 @@
 //! mechanism's state and the handlers for the events addressed to it:
 //!
 //! * [`station::StationMac`] — per-station DCF state (hot/cold SoA layout),
-//!   the sorted active-station list, and the backoff timer tier; handles
-//!   `TxStart` and `AckTimeout`.
+//!   the carrier-sense state of each sensing class, the sorted
+//!   active-station list, and the backoff timer tier; handles `TxStart` and
+//!   `AckTimeout`.
 //! * [`channel::Channel`] — the in-flight transmission slab, interference
 //!   bookkeeping, and the engine's private frame-error RNG stream; handles
 //!   `TxEnd`, `AckStart`, `AckEnd`.
@@ -36,10 +37,14 @@
 //! Five structural choices keep the per-event cost low (see the "Hot path"
 //! section of `docs/ARCHITECTURE.md`):
 //!
-//! * **O(degree) sensing** — transmission start/end notifies only the
-//!   transmitter's precomputed sensing neighbours ([`Topology::neighbors`]),
-//!   in ascending id order, instead of scanning all N stations; ACK events
-//!   walk the sorted active-station list (every station senses the AP).
+//! * **One carrier-sense clock per sensing class** — stations with identical
+//!   closed sensing neighbourhoods ([`Topology::sensing_classes`]) share one
+//!   busy count and one idle-slot clock, and their countdowns are deadlines
+//!   on it, so a transmission start/end costs O(adjacent classes) — O(1) in
+//!   a fully connected cell — and only each class's earliest countdown holds
+//!   a backoff timer. ACK events walk every class (every station senses the
+//!   AP). Redrawing policies (p-persistent) still draw once per contending
+//!   station per busy end.
 //! * **Static dispatch** — stations own a [`Policy`] enum inline, so every
 //!   backoff policy dispatches without a vtable. The AP controller, called
 //!   per reception or beacon rather than per event, is a boxed
@@ -52,16 +57,18 @@
 //!   calendar queue with O(1) amortized operations, backoff and arrival
 //!   timers in indexed timer tiers; all tiers share one `(time, seq)`
 //!   counter so pops follow the exact historical single-heap order
-//!   ([`wlan_des::EventQueue`]).
-//! * **Hot/cold station state** — the per-station fields touched on every
-//!   medium transition are packed into one 56-byte record per station
-//!   ([`station::Stations`]), separate from the fat policy/RNG arrays, so
-//!   the sensing loops stream one sub-cache-line record per neighbour.
+//!   ([`wlan_des::EventQueue`]). A resume walk reserves one sequence number
+//!   per station and arms a countdown at `base + id` whenever it needs a
+//!   timer, so ties fire in the per-station engine's order.
+//! * **Hot/cold station state** — the per-station fields the MAC touches on
+//!   a medium transition are packed into one 56-byte record per station
+//!   ([`station::Stations`]), separate from the fat policy/RNG arrays.
 
 mod apctl;
 mod arrivals;
 mod channel;
 mod event;
+mod sensing;
 mod snapshot;
 mod station;
 mod telemetry;
@@ -84,7 +91,7 @@ use channel::Channel;
 use event::Event;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use station::{Phase, StationMac, Stations};
+use station::{StationMac, Stations};
 use std::collections::VecDeque;
 use wlan_des::{ComponentId, Handle, Simulation, TierId};
 
@@ -378,14 +385,15 @@ impl SimulatorBuilder {
         let mut sim: Simulation<World, Event> = Simulation::new(world);
         let backoff_tier = sim.add_timer_tier(MAC_ID, n, event::make_tx_start);
         let arrival_tier = sim.add_timer_tier(TRAFFIC_ID, n, event::make_frame_arrival);
-        let mac = sim.add_component(StationMac {
+        let classes = sim.world().topology.sensing_classes();
+        let mac = sim.add_component(StationMac::new(
             stations,
-            active: Vec::with_capacity(n),
-            tier: backoff_tier,
-            channel: Handle::from_raw(CHANNEL_ID),
-            ap: Handle::from_raw(AP_ID),
-            traffic: Handle::from_raw(TRAFFIC_ID),
-        });
+            classes,
+            backoff_tier,
+            Handle::from_raw(CHANNEL_ID),
+            Handle::from_raw(AP_ID),
+            Handle::from_raw(TRAFFIC_ID),
+        ));
         debug_assert_eq!(mac.id(), MAC_ID);
         let channel = sim.add_component(Channel {
             txs: wlan_des::Slab::new(),
@@ -414,7 +422,6 @@ impl SimulatorBuilder {
             channel,
             ap,
             traffic,
-            backoff_tier,
             arrival_tier,
         };
         let active = self.initially_active.unwrap_or(n);
@@ -440,7 +447,6 @@ pub struct Simulator {
     channel: Handle<Channel>,
     ap: Handle<ApControl>,
     traffic: Handle<TrafficSources>,
-    backoff_tier: TierId,
     arrival_tier: TierId,
 }
 
@@ -574,21 +580,7 @@ impl Simulator {
         let (mac_h, channel_h, traffic_h) = (self.mac, self.channel, self.traffic);
         self.sim.access(|world, peers, ctx| {
             let now = ctx.now();
-            {
-                let mac = peers.get_mut(mac_h);
-                if mac.stations.is_active(node) {
-                    return;
-                }
-                let h = &mut mac.stations.hot[node];
-                h.phase = Phase::Contending;
-                h.sensed_busy = 0;
-                h.idle_since = now;
-                h.clear_countdown();
-                if let Err(pos) = mac.active.binary_search(&node) {
-                    mac.active.insert(pos, node);
-                }
-            }
-            // Recompute what the station currently senses.
+            // What the station currently senses.
             let sensed = {
                 let channel = peers.get(channel_h);
                 channel
@@ -601,7 +593,9 @@ impl Simulator {
                     .count() as u32
                     + if channel.ap_transmitting { 1 } else { 0 }
             };
-            peers.get_mut(mac_h).stations.hot[node].sensed_busy = sensed;
+            if !peers.get_mut(mac_h).activate(&world.phy, ctx, node, sensed) {
+                return;
+            }
             // Start (or restart) the station's arrival process. Frames queued
             // while the station was inactive are preserved; generation resumes
             // from now.
@@ -622,21 +616,10 @@ impl Simulator {
     /// and any queued frames stay queued until it is reactivated.
     pub fn deactivate_station(&mut self, node: NodeId) {
         let mac_h = self.mac;
-        let (backoff_tier, arrival_tier) = (self.backoff_tier, self.arrival_tier);
-        self.sim.access(|_, peers, ctx| {
-            let mac = peers.get_mut(mac_h);
-            if !mac.stations.is_active(node) {
-                return;
-            }
-            let h = &mut mac.stations.hot[node];
-            h.phase = Phase::Inactive;
-            h.clear_countdown();
-            h.timer_gen += 1;
-            h.ack_gen += 1;
-            ctx.cancel_timer(backoff_tier, node);
-            ctx.cancel_timer(arrival_tier, node);
-            if let Ok(pos) = mac.active.binary_search(&node) {
-                mac.active.remove(pos);
+        let arrival_tier = self.arrival_tier;
+        self.sim.access(|world, peers, ctx| {
+            if peers.get_mut(mac_h).deactivate(&world.phy, ctx, node) {
+                ctx.cancel_timer(arrival_tier, node);
             }
         });
     }

@@ -25,7 +25,7 @@ const CHECKPOINT_MAGIC: &[u8] = b"WLANCKPT";
 
 /// Checkpoint format version. Bump on **any** change to the byte layout —
 /// resume never attempts cross-version decoding.
-const CHECKPOINT_VERSION: u32 = 1;
+const CHECKPOINT_VERSION: u32 = 2;
 
 impl Simulator {
     /// Serialize the complete mutable simulation state into a byte
@@ -83,12 +83,7 @@ impl Simulator {
         w.put_u32(world.stride_ticks);
 
         // Components.
-        let mac = self.sim.component(self.mac);
-        w.put_usize(mac.active.len());
-        for &node in &mac.active {
-            w.put_usize(node);
-        }
-        mac.stations.save(&mut w);
+        self.sim.component(self.mac).save(&mut w);
         self.sim.component(self.channel).save(&mut w);
         self.sim.component(self.ap).save(&mut w);
         self.sim.component(self.traffic).save(&mut w);
@@ -171,15 +166,9 @@ impl Simulator {
             world.stride_ticks = stride_ticks;
         }
 
-        let active_len = r.get_usize()?;
-        let mut active = Vec::with_capacity(active_len.min(1 << 20));
-        for _ in 0..active_len {
-            active.push(r.get_usize()?);
-        }
         {
-            let mac = self.sim.component_mut(self.mac);
-            mac.active = active;
-            mac.stations.load(&mut r)?;
+            let mac_h = self.mac;
+            self.sim.component_mut(mac_h).load(&mut r)?;
         }
         {
             let channel_h = self.channel;
@@ -227,7 +216,7 @@ mod tests {
         let bytes = sim.checkpoint();
         assert_eq!(
             (bytes.len(), fnv1a(&bytes)),
-            (5730, 7_412_894_956_138_562_615),
+            (5784, 5_437_235_570_171_063_566),
             "the checkpoint byte layout changed: bump CHECKPOINT_VERSION, then update this pin"
         );
     }

@@ -53,16 +53,37 @@ pub struct Topology {
     ap: Position,
     tx_range: f64,
     sensing_range: f64,
-    /// `sense[i][j]` is true iff station `i` can sense station `j`'s transmissions.
-    sense: Vec<Vec<bool>>,
-    /// Precomputed sensing adjacency: `neighbors[i]` lists every `j != i` with
-    /// `sense[j][i]`, **in ascending id order**. The simulator's hot path walks
-    /// these lists instead of scanning all stations, and the ascending order is
-    /// load-bearing: notifying sensors in id order preserves the engine's event
-    /// scheduling (and therefore RNG draw) order exactly (see the determinism
-    /// contract in `docs/ARCHITECTURE.md`). Kept in sync by `rebuild_neighbors`
-    /// after every mutation of `sense`.
-    neighbors: Vec<Vec<NodeId>>,
+    /// The sensing relation as packed bit rows, `words` `u64`s per station:
+    /// bit `j` of row `i` is set iff station `i` can sense station `j`'s
+    /// transmissions.
+    sense: Vec<u64>,
+    words: usize,
+}
+
+/// The stations grouped by identical closed sensing neighbourhoods
+/// (`{v} ∪ {u : v senses u}`), with the adjacency between the groups.
+///
+/// Sensing is symmetric, so the members of one class perceive exactly the
+/// same transmissions apart from their own: a frame from any station that
+/// one member senses is sensed by every other member. The simulator keeps
+/// one medium state per class instead of one per station. A fully connected
+/// network is a single class; hidden-node layouts split into many, mostly
+/// singletons.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct SensingClasses {
+    /// `class_of[v]` is station `v`'s class. Classes are numbered in order
+    /// of their lowest-id member.
+    pub(crate) class_of: Vec<usize>,
+    /// `adjacent[c]` lists, ascending, every class whose members sense the
+    /// members of class `c` — `c` itself included.
+    pub(crate) adjacent: Vec<Vec<usize>>,
+}
+
+impl SensingClasses {
+    /// Number of classes.
+    pub(crate) fn len(&self) -> usize {
+        self.adjacent.len()
+    }
 }
 
 impl Topology {
@@ -81,22 +102,23 @@ impl Topology {
             "ranges must be positive"
         );
         let n = positions.len();
-        let mut sense = vec![vec![false; n]; n];
-        for i in 0..n {
+        let words = n.div_ceil(64).max(1);
+        let mut sense = vec![0u64; n * words];
+        for (i, row) in sense.chunks_exact_mut(words).enumerate() {
             for j in 0..n {
-                sense[i][j] = i == j || positions[i].distance(&positions[j]) <= sensing_range;
+                if i == j || positions[i].distance(&positions[j]) <= sensing_range {
+                    row[j / 64] |= 1 << (j % 64);
+                }
             }
         }
-        let mut topo = Topology {
+        Topology {
             positions,
             ap,
             tx_range,
             sensing_range,
             sense,
-            neighbors: Vec::new(),
-        };
-        topo.rebuild_neighbors();
-        topo
+            words,
+        }
     }
 
     /// An idealised fully connected network of `n` stations: every station senses
@@ -104,12 +126,11 @@ impl Topology {
     /// of radius 8 m for reporting purposes.
     pub fn fully_connected(n: usize) -> Self {
         let mut topo = Self::ring(n, 8.0);
-        for row in topo.sense.iter_mut() {
-            for cell in row.iter_mut() {
-                *cell = true;
+        for i in 0..n {
+            for j in 0..n {
+                topo.set_bit(i, j, true);
             }
         }
-        topo.rebuild_neighbors();
         topo
     }
 
@@ -256,28 +277,76 @@ impl Topology {
 
     /// Whether station `i` can sense station `j`'s transmissions.
     pub fn senses(&self, i: NodeId, j: NodeId) -> bool {
-        self.sense[i][j]
+        self.row(i)[j / 64] >> (j % 64) & 1 == 1
     }
 
-    /// The stations that can sense station `src` (excluding `src` itself), in
-    /// ascending id order. This is the precomputed adjacency list the simulator
-    /// walks on every transmission start/end, so looking it up is O(1) and
-    /// iterating it is O(degree) instead of O(N).
-    pub fn neighbors(&self, src: NodeId) -> &[NodeId] {
-        &self.neighbors[src]
+    /// Station `i`'s packed sensing row.
+    fn row(&self, i: NodeId) -> &[u64] {
+        &self.sense[i * self.words..(i + 1) * self.words]
     }
 
-    /// The set of stations that can sense station `src` (excluding `src` itself).
-    pub fn sensors_of(&self, src: NodeId) -> Vec<NodeId> {
-        self.neighbors[src].clone()
+    fn set_bit(&mut self, i: NodeId, j: NodeId, value: bool) {
+        let word = &mut self.sense[i * self.words + j / 64];
+        if value {
+            *word |= 1 << (j % 64);
+        } else {
+            *word &= !(1 << (j % 64));
+        }
     }
 
-    /// Recompute the per-node adjacency lists from the `sense` matrix.
-    fn rebuild_neighbors(&mut self) {
+    /// Group the stations into [`SensingClasses`]: one class per distinct
+    /// sensing row, numbered by lowest member id, with each class's
+    /// adjacency read off its lowest member's row. Rows are grouped by
+    /// sorting the packed bit rows, O(N² / 64 · log N).
+    pub(crate) fn sensing_classes(&self) -> SensingClasses {
         let n = self.num_nodes();
-        self.neighbors = (0..n)
-            .map(|src| (0..n).filter(|&i| i != src && self.sense[i][src]).collect())
+        // Equal rows sort next to each other, lowest id first: that id
+        // represents the class.
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_unstable_by(|&a, &b| self.row(a).cmp(self.row(b)).then(a.cmp(&b)));
+        let mut class_of = vec![0; n];
+        let mut first = 0;
+        for (i, &v) in order.iter().enumerate() {
+            if i == 0 || self.row(v) != self.row(order[i - 1]) {
+                first = v;
+            }
+            class_of[v] = first;
+        }
+        let mut representatives = Vec::new();
+        for v in 0..n {
+            class_of[v] = if class_of[v] == v {
+                representatives.push(v);
+                representatives.len() - 1
+            } else {
+                class_of[class_of[v]]
+            };
+        }
+        // Each adjacency list is collected as a bit set over classes, which
+        // also sorts and deduplicates it.
+        let class_words = representatives.len().div_ceil(64).max(1);
+        let mut seen = vec![0u64; class_words];
+        let adjacent = representatives
+            .iter()
+            .map(|&r| {
+                for (w, &word) in self.row(r).iter().enumerate() {
+                    let mut rest = word;
+                    while rest != 0 {
+                        let c = class_of[w * 64 + rest.trailing_zeros() as usize];
+                        seen[c / 64] |= 1 << (c % 64);
+                        rest &= rest - 1;
+                    }
+                }
+                let mut classes = Vec::new();
+                for (w, word) in seen.iter_mut().enumerate() {
+                    while *word != 0 {
+                        classes.push(w * 64 + word.trailing_zeros() as usize);
+                        *word &= *word - 1;
+                    }
+                }
+                classes
+            })
             .collect();
+        SensingClasses { class_of, adjacent }
     }
 
     /// All unordered pairs of stations hidden from each other.
@@ -286,7 +355,7 @@ impl Topology {
         let mut pairs = Vec::new();
         for i in 0..n {
             for j in (i + 1)..n {
-                if !self.sense[i][j] {
+                if !self.senses(i, j) {
                     pairs.push((i, j));
                 }
             }
@@ -323,9 +392,8 @@ impl Topology {
     /// shadowing by an obstacle between two otherwise-close stations.
     pub fn set_senses(&mut self, i: NodeId, j: NodeId, value: bool) {
         assert_ne!(i, j, "a station always senses itself");
-        self.sense[i][j] = value;
-        self.sense[j][i] = value;
-        self.rebuild_neighbors();
+        self.set_bit(i, j, value);
+        self.set_bit(j, i, value);
     }
 }
 
@@ -405,33 +473,52 @@ mod tests {
     fn hidden_pairs_and_sensors_are_consistent() {
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         let t = Topology::uniform_disc(20, 20.0, &mut rng);
+        let classes = t.sensing_classes();
         for (i, j) in t.hidden_pairs() {
             assert!(!t.senses(i, j));
-            assert!(!t.sensors_of(j).contains(&i));
+            let (ci, cj) = (classes.class_of[i], classes.class_of[j]);
+            assert_ne!(ci, cj, "hidden stations never share a class");
+            assert!(!classes.adjacent[ci].contains(&cj));
         }
     }
 
     #[test]
-    fn neighbors_match_sense_matrix_in_ascending_order() {
+    fn sensing_classes_match_sense_matrix() {
         let mut rng = ChaCha8Rng::seed_from_u64(23);
         let t = Topology::uniform_disc(30, 20.0, &mut rng);
-        for src in 0..30 {
-            let expected: Vec<NodeId> = (0..30).filter(|&i| i != src && t.senses(i, src)).collect();
-            assert_eq!(t.neighbors(src), &expected[..], "src={src}");
-            // Ascending order is load-bearing for the determinism contract.
-            assert!(t.neighbors(src).windows(2).all(|w| w[0] < w[1]));
+        let classes = t.sensing_classes();
+        for v in 0..30 {
+            for u in 0..30 {
+                let (cv, cu) = (classes.class_of[v], classes.class_of[u]);
+                // Same class iff identical closed neighbourhoods.
+                let same_row = (0..30).all(|w| t.senses(v, w) == t.senses(u, w));
+                assert_eq!(cv == cu, same_row, "v={v} u={u}");
+                assert_eq!(classes.adjacent[cv].contains(&cu), t.senses(v, u));
+            }
+        }
+        // Numbered by lowest member; adjacency ascending and symmetric.
+        let mut next = 0;
+        for &c in &classes.class_of {
+            assert!(c <= next);
+            next = next.max(c + 1);
+        }
+        for (c, adj) in classes.adjacent.iter().enumerate() {
+            assert!(adj.windows(2).all(|w| w[0] < w[1]));
+            assert!(adj.iter().all(|&d| classes.adjacent[d].contains(&c)));
         }
     }
 
     #[test]
     fn set_senses_rebuilds_adjacency() {
         let mut t = Topology::fully_connected(5);
-        assert_eq!(t.neighbors(2), &[0, 1, 3, 4]);
+        let one = t.sensing_classes();
+        assert_eq!((one.class_of, one.adjacent), (vec![0; 5], vec![vec![0]]));
         t.set_senses(2, 4, false);
-        assert_eq!(t.neighbors(2), &[0, 1, 3]);
-        assert_eq!(t.neighbors(4), &[0, 1, 3]);
+        let split = t.sensing_classes();
+        assert_eq!(split.class_of, vec![0, 0, 1, 0, 2]);
+        assert_eq!(split.adjacent, vec![vec![0, 1, 2], vec![0, 1], vec![0, 2]]);
         t.set_senses(2, 4, true);
-        assert_eq!(t.neighbors(2), &[0, 1, 3, 4]);
+        assert_eq!(t.sensing_classes().len(), 1);
     }
 
     #[test]
