@@ -834,3 +834,84 @@ fn resume_rejects_checkpoints_from_a_different_policy() {
     let err = other.resume(&ckpt).unwrap_err();
     assert!(err.to_string().contains("policy"), "{err}");
 }
+
+/// Random hidden topologies, mixed policies (one observing the channel), a
+/// sub-unity capture threshold or a long ACK, and stations leaving and
+/// rejoining at random instants: a run checkpointed and resumed into fresh
+/// simulators along the way ends byte-identical to the straight run. The
+/// churn reaches the rare per-station countdowns (rejoined mid-frame or
+/// mid-ACK, due at a freeze, joined off the slot grid) with class clocks
+/// frozen and running.
+#[test]
+fn checkpoints_under_membership_churn_are_byte_identical() {
+    use rand::Rng;
+    for seed in 0..120u64 {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let n = 3 + (seed % 9) as usize;
+        let mut topo = Topology::fully_connected(n);
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if rng.gen::<f64>() < 0.25 {
+                    topo.set_senses(i, j, false);
+                }
+            }
+        }
+        let capture = if seed % 3 == 0 {
+            Some(CaptureModel {
+                sir_threshold: 0.8,
+                ..CaptureModel::default_indoor()
+            })
+        } else {
+            None
+        };
+        let phy = if seed % 4 == 1 {
+            PhyParams {
+                phy_preamble: SimDuration::from_micros(20),
+                ..PhyParams::table1()
+            }
+        } else {
+            PhyParams::table1()
+        };
+        let build = || {
+            SimulatorBuilder::new(phy.clone(), topo.clone())
+                .seed(seed)
+                .with_stations(|i, phy| -> Policy {
+                    match i % 4 {
+                        0 => ExponentialBackoff::new(phy).into(),
+                        1 => PPersistent::new(0.15).into(),
+                        2 => crate::idlesense::IdleSensePolicy::for_phy(phy).into(),
+                        _ => FixedWindow::new(4).into(),
+                    }
+                })
+                .capture_model(capture)
+                .initially_active(n - 1)
+                .build()
+        };
+        let mut a = build();
+        let mut b = build();
+        for _ in 0..150 {
+            let d = SimDuration::from_nanos(rng.gen_range(1_000..400_000));
+            let node = rng.gen_range(0..n);
+            let on = rng.gen::<bool>();
+            for sim in [&mut a, &mut b] {
+                sim.run_for(d);
+                if on {
+                    sim.activate_station(node);
+                } else {
+                    sim.deactivate_station(node);
+                }
+            }
+            if rng.gen::<f64>() < 0.1 {
+                let ckpt = b.checkpoint();
+                let mut fresh = build();
+                fresh.resume(&ckpt).unwrap();
+                b = fresh;
+            }
+        }
+        assert_eq!(
+            serde_json::to_string(&a.stats()).unwrap(),
+            serde_json::to_string(&b.stats()).unwrap(),
+            "seed {seed}"
+        );
+    }
+}
