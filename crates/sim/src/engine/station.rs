@@ -367,10 +367,10 @@ pub(crate) struct StationMac {
     /// the walk is skipped. Cleared when a station joins.
     control_applied: Option<ControlPayload>,
     /// The backoff timer tier this component owns.
-    pub(crate) tier: TierId,
-    pub(crate) channel: Handle<Channel>,
-    pub(crate) ap: Handle<ApControl>,
-    pub(crate) traffic: Handle<TrafficSources>,
+    tier: TierId,
+    channel: Handle<Channel>,
+    ap: Handle<ApControl>,
+    traffic: Handle<TrafficSources>,
 }
 
 impl StationMac {
